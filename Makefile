@@ -108,17 +108,17 @@ bench-gate:
 # lands in ann-smoke.json (archived by CI).
 ann-smoke:
 	$(GO) build -o bin/corpusgen ./cmd/corpusgen
-	$(GO) build -o bin/annsmoke ./cmd/annsmoke
-	sh scripts/ann_smoke.sh bin/corpusgen bin/annsmoke
+	$(GO) build -o bin/fidelity ./cmd/fidelity
+	sh scripts/fidelity_smoke.sh bin/corpusgen bin/fidelity ann
 
-# Sample a balanced >=100k-document corpus from the paper's model with
-# corpusgen, index it with the int8 quantized scoring tier, and gate
-# top-10 overlap >= 0.99 at rank 64, beta=64 plus quantized-faster-than-exact.
-# The measured summary lands in quant-smoke.json (archived by CI).
+# The same corpus indexed with the int8 quantized scoring tier: gate
+# top-10 overlap (recall@10) >= 0.99 at rank 64, beta=64 plus
+# quantized-faster-than-exact. The measured summary lands in
+# quant-smoke.json (archived by CI).
 quant-smoke:
 	$(GO) build -o bin/corpusgen ./cmd/corpusgen
-	$(GO) build -o bin/quantsmoke ./cmd/quantsmoke
-	sh scripts/quant_smoke.sh bin/corpusgen bin/quantsmoke
+	$(GO) build -o bin/fidelity ./cmd/fidelity
+	sh scripts/fidelity_smoke.sh bin/corpusgen bin/fidelity int8
 
 # Short local mirror of the nightly fuzz job: 30s per fuzz target (the
 # manifest loader, the query-cache key normalizer, the WAL record

@@ -293,7 +293,7 @@ func BenchmarkMixtureExtension(b *testing.B) {
 }
 
 // BenchmarkSVDEngines compares the SVD engines on a fixed corpus matrix —
-// the ablation behind the engine choice in DESIGN.md §12.
+// the ablation behind the engine choice in DESIGN.md §14.
 func BenchmarkSVDEngines(b *testing.B) {
 	model, err := corpus.PureSeparableModel(corpus.SeparableConfig{
 		NumTopics: 5, TermsPerTopic: 40, Epsilon: 0.05, MinLen: 40, MaxLen: 80,

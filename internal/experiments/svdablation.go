@@ -13,7 +13,7 @@ import (
 
 // LanczosDimAblationResult measures how the Golub–Kahan–Lanczos engine's
 // accuracy depends on the bidiagonalization dimension p relative to the
-// requested rank k — the "Lanczos dimension" ablation behind DESIGN.md §12's engine choice. At
+// requested rank k — the "Lanczos dimension" ablation behind DESIGN.md §14's engine choice. At
 // p = k the Krylov space barely contains the wanted invariant subspace;
 // accuracy improves rapidly with the extra dimensions.
 type LanczosDimAblationResult struct {

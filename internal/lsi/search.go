@@ -246,21 +246,3 @@ func (ix *Index) SearchBatch(queries [][]float64, topN int) [][]Match {
 	})
 	return out
 }
-
-// SearchBatchSparse runs SearchSparse for a batch of sparse queries
-// (terms[i]/weights[i] are query i), fanning whole queries across par
-// workers. Element i of the result is identical to
-// SearchSparse(terms[i], weights[i], topN).
-func (ix *Index) SearchBatchSparse(terms [][]int, weights [][]float64, topN int) [][]Match {
-	if len(terms) != len(weights) {
-		panic(fmt.Sprintf("lsi: SearchBatchSparse %d term slices but %d weight slices", len(terms), len(weights)))
-	}
-	out := make([][]Match, len(terms))
-	perQuery := (1 + ix.docs.Rows()) * ix.k // fold is nnz-bounded; scoring dominates
-	par.For(len(terms), par.GrainFor(perQuery), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = ix.SearchSparse(terms[i], weights[i], topN)
-		}
-	})
-	return out
-}

@@ -3,6 +3,7 @@ package segment
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ivf"
 	"repro/internal/mat"
@@ -13,10 +14,10 @@ import (
 
 // Cross-segment search: the segments of every shard are flattened into
 // one scored range [0, Σ len(seg)) and scanned with the same fused
-// kernels as the single-index hot path — one ProjectSparse per segment
+// kernels as the single-index hot path — one sparse fold per segment
 // basis, one DotNorm per document against the segment's precomputed
-// norms — so a one-shard one-segment index returns bitwise-identical
-// scores to lsi.SearchSparse over the same corpus.
+// norms — so a one-segment set with the identity Global mapping returns
+// bitwise-identical scores to lsi's SearchSparse over the same index.
 //
 // Selection is bounded top-k under the strict (score desc, global doc
 // asc) total order. The parallel path chunks the flattened range with
@@ -26,127 +27,112 @@ import (
 // count and every segment layout that holds the same documents in the
 // same latent representations.
 
-// searchScratch pools the per-query selection state.
-type searchScratch struct {
-	heap topk.Heap
-}
-
-var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
-
-// projected is a query folded into every segment's latent space.
+// projected is a query folded into the latent space of every segment of
+// a flattened range. Instances are pooled; proj slices share buf.
 type projected struct {
 	segs    []*Segment
 	proj    [][]float64 // per-segment Uₖᵀ·q
 	qn      []float64   // per-segment ‖proj‖
 	offsets []int       // flattened start of each segment
 	total   int
+	buf     []float64
 }
 
-// project folds the query into each segment's basis once. Segments are
-// typically few (shards × segments-per-shard), so the per-segment fold —
-// O(nnz(q)·k) sparse, O(n·k) dense — stays negligible next to scoring.
-func project(segs []*Segment, fold func(s *Segment) []float64) *projected {
-	p := &projected{
-		segs:    segs,
-		proj:    make([][]float64, len(segs)),
-		qn:      make([]float64, len(segs)),
-		offsets: make([]int, len(segs)),
-	}
-	for i, s := range segs {
-		p.proj[i] = fold(s)
-		p.qn[i] = mat.Norm(p.proj[i])
-		p.offsets[i] = p.total
-		p.total += s.Len()
-	}
-	return p
+// scratch is the pooled per-query state of SearchSparseOpts: the
+// flattened exact range, the tiered segments with their projections, the
+// tier candidate buffers, and the final selection heap.
+type scratch struct {
+	exact  projected
+	tiered projected
+	cands  []topk.Match
+	docs   []int32
+	heap   topk.Heap
 }
 
-// score computes the cosine of the query against flattened document f.
-func (p *projected) score(seg int, f int) topk.Match {
-	s := p.segs[seg]
-	j := f - p.offsets[seg]
-	return topk.Match{
-		Doc:   s.Global[j],
-		Score: mat.DotNorm(p.proj[seg], s.Ix.DocVectors().Row(j), p.qn[seg], s.Ix.Norms()[j]),
-	}
+var (
+	scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+	heapPool    = sync.Pool{New: func() any { return new(topk.Heap) }}
+)
+
+// release drops the scratch's segment references and returns it to the
+// pool.
+func (sc *scratch) release() {
+	sc.exact.reset()
+	sc.tiered.reset()
+	scratchPool.Put(sc)
 }
 
-// scoreRange offers every flattened document in [lo, hi) to h, walking
-// segment boundaries as it crosses them.
+func (p *projected) reset() {
+	clear(p.segs)
+	p.segs, p.proj, p.qn, p.offsets, p.buf = p.segs[:0], p.proj[:0], p.qn[:0], p.offsets[:0], p.buf[:0]
+	p.total = 0
+}
+
+// add folds the sparse query into s's basis and appends s to the range.
+// Earlier projections stay valid when buf grows: they keep the old array.
+func (p *projected) add(s *Segment, terms []int, weights []float64) {
+	k := s.Ix.K()
+	if cap(p.buf)-len(p.buf) < k {
+		p.buf = make([]float64, 0, max(2*cap(p.buf), 4*k))
+	}
+	pq := p.buf[len(p.buf) : len(p.buf)+k : len(p.buf)+k]
+	p.buf = p.buf[:len(p.buf)+k]
+	mat.MulTVecSparse(s.Ix.Basis(), terms, weights, pq)
+	p.segs = append(p.segs, s)
+	p.proj = append(p.proj, pq)
+	p.qn = append(p.qn, mat.Norm(pq))
+	p.offsets = append(p.offsets, p.total)
+	p.total += s.Len()
+}
+
+// scoreRange offers every flattened document in [lo, hi) to h. The
+// per-segment rows, norms, Global mapping and projection are hoisted out
+// of the per-document loop.
 func (p *projected) scoreRange(h *topk.Heap, lo, hi int) {
-	seg := sort.Search(len(p.offsets), func(i int) bool { return p.offsets[i] > lo }) - 1
-	for f := lo; f < hi; {
-		end := p.offsets[seg] + p.segs[seg].Len()
-		if end > hi {
-			end = hi
+	i := sort.Search(len(p.offsets), func(i int) bool { return p.offsets[i] > lo }) - 1
+	for f := lo; f < hi; i++ {
+		s, start := p.segs[i], p.offsets[i]
+		docs, norms, global := s.Ix.DocVectors(), s.Ix.Norms(), s.Global
+		pq, qn := p.proj[i], p.qn[i]
+		end := min(start+len(global), hi)
+		for j := f - start; j < end-start; j++ {
+			h.Offer(topk.Match{Doc: global[j], Score: mat.DotNorm(pq, docs.Row(j), qn, norms[j])})
 		}
-		for ; f < end; f++ {
-			h.Offer(p.score(seg, f))
-		}
-		seg++
+		f = end
 	}
 }
 
-// selectTop runs bounded selection over the flattened range and returns
-// the topN best (all documents if topN <= 0), best-first under the
-// (score desc, global doc asc) order.
-func (p *projected) selectTop(topN int) []topk.Match {
-	if p.total == 0 {
-		return []topk.Match{}
-	}
-	keep := topN
-	if keep <= 0 || keep > p.total {
-		keep = p.total
-	}
+// selectTop appends the keep best documents of the flattened range to
+// dst, best-first under the (score desc, global doc asc) order, using h
+// for the serial selection.
+func (p *projected) selectTop(dst []topk.Match, h *topk.Heap, keep int) []topk.Match {
 	maxK := 1
 	for _, s := range p.segs {
-		if k := s.Ix.K(); k > maxK {
-			maxK = k
-		}
+		maxK = max(maxK, s.Ix.K())
 	}
 	grain := par.GrainFor(2*maxK + 1)
-
-	sc := searchPool.Get().(*searchScratch)
-	defer searchPool.Put(sc)
-	h := &sc.heap
 	h.Reset(keep)
 	if par.MaxProcs() == 1 || p.total <= grain {
 		p.scoreRange(h, 0, p.total)
-		return h.AppendSorted(make([]topk.Match, 0, keep))
+		return h.AppendSorted(dst)
 	}
-	partials := par.MapChunks(p.total, grain, func(lo, hi int) *searchScratch {
-		csc := searchPool.Get().(*searchScratch)
-		csc.heap.Reset(keep)
-		p.scoreRange(&csc.heap, lo, hi)
-		return csc
+	partials := par.MapChunks(p.total, grain, func(lo, hi int) *topk.Heap {
+		ch := heapPool.Get().(*topk.Heap)
+		ch.Reset(keep)
+		p.scoreRange(ch, lo, hi)
+		return ch
 	})
-	for _, csc := range partials {
-		h.Merge(&csc.heap)
-		searchPool.Put(csc)
+	for _, ch := range partials {
+		h.Merge(ch)
+		heapPool.Put(ch)
 	}
-	return h.AppendSorted(make([]topk.Match, 0, keep))
-}
-
-// SearchSparse ranks every document held by segs against a sparse query
-// (terms strictly ascending) and returns the topN best with Doc fields
-// carrying GLOBAL document numbers. With one segment whose Global mapping
-// is the identity, results are bitwise identical to
-// segs[0].Ix.SearchSparse.
-func SearchSparse(segs []*Segment, terms []int, weights []float64, topN int) []topk.Match {
-	p := project(segs, func(s *Segment) []float64 { return s.Ix.ProjectSparse(terms, weights) })
-	return p.selectTop(topN)
-}
-
-// SearchVec is SearchSparse for a dense term-space query vector.
-func SearchVec(segs []*Segment, q []float64, topN int) []topk.Match {
-	p := project(segs, func(s *Segment) []float64 { return s.Ix.Project(q) })
-	return p.selectTop(topN)
+	return h.AppendSorted(dst)
 }
 
 // ProbeOptions selects the approximate tiers a search may use. The zero
 // value is the escape hatch: with both knobs off the scan is fully exact
-// and bitwise-identical to SearchSparse/SearchVec — the truth baseline
-// the fidelity harness and smoke gates compare against.
+// — the truth baseline the fidelity harness and smoke gates compare
+// against.
 type ProbeOptions struct {
 	// NProbe is the IVF cell budget for segments carrying a coarse
 	// quantizer; <= 0 scans every segment exhaustively instead of probing.
@@ -177,24 +163,20 @@ type ProbeStats struct {
 	ExactDocs int
 }
 
-// searchProbe is the tier-aware variant of the flattened scan. Per
+// SearchSparseOpts ranks every document held by segs against a sparse
+// query (terms strictly ascending) and returns the topN best (all if
+// topN <= 0) with Doc fields carrying GLOBAL document numbers. Per
 // segment the options pick the cheapest configured path: IVF cell-probe
 // feeding the int8 scan (both sidecars), cell-probe scoring in float
 // (Ann only, or Beta off), full int8 scan with exact rerank (Quant only,
-// or NProbe off), or the exhaustive float path (no sidecars, or both
-// knobs off). All candidates merge through one bounded heap under the
-// (score desc, global doc asc) order, so results are deterministic for
-// any worker count and segment layout. The approximate tiers only narrow
-// CANDIDATE SELECTION — every returned score is an exact float64 cosine:
-// IVF scores through the same DotNorm pipeline, and the quantized tier
-// reranks its over-fetched candidates through it. Probing every cell
-// with the int8 tier off is therefore bitwise-identical to the
-// exhaustive scan, and the zero ProbeOptions IS the exhaustive scan.
-func searchProbe(segs []*Segment, fold func(s *Segment) []float64, topN int, opts ProbeOptions) ([]topk.Match, ProbeStats) {
-	if opts.NProbe <= 0 && opts.Beta <= 0 {
-		p := project(segs, fold)
-		return p.selectTop(topN), ProbeStats{ExactDocs: p.total}
-	}
+// or NProbe off), or the flattened exhaustive float scan (no sidecars,
+// or both knobs off). All candidates merge under the (score desc, global
+// doc asc) order, so results are deterministic for any worker count and
+// segment layout. The approximate tiers only narrow CANDIDATE SELECTION
+// — every returned score is an exact float64 cosine — so probing every
+// cell with the int8 tier off is bitwise-identical to the exhaustive
+// scan, and the zero ProbeOptions IS the exhaustive scan.
+func SearchSparseOpts(segs []*Segment, terms []int, weights []float64, topN int, opts ProbeOptions) ([]topk.Match, ProbeStats) {
 	total := NumDocs(segs)
 	if total == 0 {
 		return []topk.Match{}, ProbeStats{}
@@ -203,93 +185,64 @@ func searchProbe(segs []*Segment, fold func(s *Segment) []float64, topN int, opt
 	if keep <= 0 || keep > total {
 		keep = total
 	}
-
-	sc := searchPool.Get().(*searchScratch)
-	defer searchPool.Put(sc)
-	h := &sc.heap
-	h.Reset(keep)
-
-	var st ProbeStats
-	var exact []*Segment
-	var buf []topk.Match
-	var docsBuf []int32
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
 	for _, s := range segs {
+		if s.Ann != nil && opts.NProbe > 0 || s.Quant != nil && opts.Beta > 0 {
+			sc.tiered.add(s, terms, weights)
+		} else {
+			sc.exact.add(s, terms, weights)
+		}
+	}
+	st := ProbeStats{ExactDocs: sc.exact.total}
+	out := make([]topk.Match, 0, keep)
+	h := &sc.heap
+	if len(sc.tiered.segs) == 0 {
+		return sc.exact.selectTop(out, h, keep), st
+	}
+
+	// The exact range's top keep and the tiered segments' candidates
+	// merge through one heap; Global is ascending, so remapping local
+	// rows is monotone and the strict order survives the renumbering.
+	sc.cands = sc.exact.selectTop(sc.cands[:0], h, keep)
+	h.Reset(keep)
+	for _, m := range sc.cands {
+		h.Offer(m)
+	}
+	for i, s := range sc.tiered.segs {
+		pq, qn := sc.tiered.proj[i], sc.tiered.qn[i]
+		vecs, norms := s.Ix.DocVectors(), s.Ix.Norms()
 		useAnn := s.Ann != nil && opts.NProbe > 0
 		useQuant := s.Quant != nil && opts.Beta > 0
-		if !useAnn && !useQuant {
-			exact = append(exact, s)
-			continue
-		}
-		proj := fold(s)
-		qn := mat.Norm(proj)
+		var ps ivf.ProbeStats
+		var qs quant.ScanStats
 		switch {
 		case useAnn && useQuant:
 			// Composed: the coarse quantizer narrows to the probed cells'
 			// documents, the int8 tier scans exactly those and reranks the
 			// over-fetch in float.
-			var ps ivf.ProbeStats
-			docsBuf, ps = s.Ann.AppendProbeDocs(docsBuf[:0], proj, qn, opts.NProbe)
-			var qs quant.ScanStats
-			buf, qs = s.Quant.AppendSearchDocs(buf[:0], docsBuf, s.Ix.DocVectors(), s.Ix.Norms(), proj, qn, keep, opts.Beta)
-			st.Probed++
-			st.Cells += ps.Cells
-			st.Docs += ps.Docs
-			st.QuantSegs++
-			st.QuantDocs += qs.Scanned
-			st.Reranked += qs.Reranked
+			sc.docs, ps = s.Ann.AppendProbeDocs(sc.docs[:0], pq, qn, opts.NProbe)
+			sc.cands, qs = s.Quant.AppendSearchDocs(sc.cands[:0], sc.docs, vecs, norms, pq, qn, keep, opts.Beta)
 		case useAnn:
-			var ps ivf.ProbeStats
-			buf, ps = s.Ann.AppendSearch(buf[:0], s.Ix.DocVectors(), s.Ix.Norms(), proj, qn, keep, opts.NProbe)
+			sc.cands, ps = s.Ann.AppendSearch(sc.cands[:0], vecs, norms, pq, qn, keep, opts.NProbe)
+		default:
+			sc.cands, qs = s.Quant.AppendSearch(sc.cands[:0], vecs, norms, pq, qn, keep, opts.Beta)
+		}
+		if useAnn {
 			st.Probed++
 			st.Cells += ps.Cells
 			st.Docs += ps.Docs
-		default:
-			var qs quant.ScanStats
-			buf, qs = s.Quant.AppendSearch(buf[:0], s.Ix.DocVectors(), s.Ix.Norms(), proj, qn, keep, opts.Beta)
+		}
+		if useQuant {
 			st.QuantSegs++
 			st.QuantDocs += qs.Scanned
 			st.Reranked += qs.Reranked
 		}
-		for _, m := range buf {
-			// Global is ascending, so the remap is monotone: the strict
-			// (score desc, doc asc) order — and with it determinism and the
-			// full-probe equivalence — survives the renumbering.
+		for _, m := range sc.cands {
 			h.Offer(topk.Match{Doc: s.Global[m.Doc], Score: m.Score})
 		}
 	}
-	if len(exact) > 0 {
-		p := project(exact, fold)
-		st.ExactDocs = p.total
-		for _, m := range p.selectTop(keep) {
-			h.Offer(m)
-		}
-	}
-	return h.AppendSorted(make([]topk.Match, 0, keep)), st
-}
-
-// SearchSparseOpts ranks every document held by segs against a sparse
-// query with the given tier options. Results carry GLOBAL document
-// numbers and exact float64 scores, deterministic for any worker count
-// and segment layout; the zero options are the exhaustive escape hatch.
-func SearchSparseOpts(segs []*Segment, terms []int, weights []float64, topN int, opts ProbeOptions) ([]topk.Match, ProbeStats) {
-	return searchProbe(segs, func(s *Segment) []float64 { return s.Ix.ProjectSparse(terms, weights) }, topN, opts)
-}
-
-// SearchVecOpts is SearchSparseOpts for a dense term-space query.
-func SearchVecOpts(segs []*Segment, q []float64, topN int, opts ProbeOptions) ([]topk.Match, ProbeStats) {
-	return searchProbe(segs, func(s *Segment) []float64 { return s.Ix.Project(q) }, topN, opts)
-}
-
-// SearchSparseProbe is SearchSparseOpts with only the IVF budget set —
-// the pre-quantization signature, kept for callers that tune nprobe
-// alone. nprobe <= 0 is the exhaustive escape hatch.
-func SearchSparseProbe(segs []*Segment, terms []int, weights []float64, topN, nprobe int) ([]topk.Match, ProbeStats) {
-	return SearchSparseOpts(segs, terms, weights, topN, ProbeOptions{NProbe: nprobe})
-}
-
-// SearchVecProbe is SearchSparseProbe for a dense term-space query.
-func SearchVecProbe(segs []*Segment, q []float64, topN, nprobe int) ([]topk.Match, ProbeStats) {
-	return searchProbe(segs, func(s *Segment) []float64 { return s.Ix.Project(q) }, topN, ProbeOptions{NProbe: nprobe})
+	return h.AppendSorted(out), st
 }
 
 // NumDocs returns the total number of documents across segs.
@@ -299,4 +252,77 @@ func NumDocs(segs []*Segment) int {
 		n += s.Len()
 	}
 	return n
+}
+
+// Counters accumulates the tier work of searches over a segment set —
+// the lifetime figures behind the "ann"/"quant" stats blocks and the
+// lsi_ann_*/lsi_quant_* metrics. The zero value is ready to use and safe
+// for concurrent Record calls.
+type Counters struct {
+	annSearches, annCells, annDocs          atomic.Int64
+	quantSearches, quantDocs, quantReranked atomic.Int64
+}
+
+// Record folds one search's tier stats into the counters: a search
+// counts toward a tier when at least one segment answered through it.
+func (c *Counters) Record(st ProbeStats) {
+	if st.Probed > 0 {
+		c.annSearches.Add(1)
+		c.annCells.Add(int64(st.Cells))
+		c.annDocs.Add(int64(st.Docs))
+	}
+	if st.QuantSegs > 0 {
+		c.quantSearches.Add(1)
+		c.quantDocs.Add(int64(st.QuantDocs))
+		c.quantReranked.Add(int64(st.Reranked))
+	}
+}
+
+// TierStats describes the tier sidecars of a segment set and the
+// lifetime work the tiers performed.
+type TierStats struct {
+	// ANNSegments counts segments carrying an IVF quantizer and ANNDocs
+	// the documents they cover (ANNDocs/Docs is the corpus fraction
+	// served sublinearly); ANNSearches, ANNCellsProbed and ANNDocsScored
+	// are the lifetime probe counters.
+	ANNSegments    int   `json:"annSegments"`
+	ANNDocs        int   `json:"annDocs"`
+	ANNSearches    int64 `json:"annSearches"`
+	ANNCellsProbed int64 `json:"annCellsProbed"`
+	ANNDocsScored  int64 `json:"annDocsScored"`
+	// QuantSegments counts segments carrying an int8 shadow, QuantDocs
+	// the documents they cover, QuantBytes the shadows' footprint
+	// (compare against ~8·QuantDocs·rank for the float rows they stand in
+	// for); QuantSearches, QuantDocsScanned and QuantDocsReranked are the
+	// lifetime scan counters.
+	QuantSegments     int   `json:"quantSegments"`
+	QuantDocs         int   `json:"quantDocs"`
+	QuantBytes        int64 `json:"quantBytes"`
+	QuantSearches     int64 `json:"quantSearches"`
+	QuantDocsScanned  int64 `json:"quantDocsScanned"`
+	QuantDocsReranked int64 `json:"quantDocsReranked"`
+}
+
+// Stats summarizes the sidecars of segs together with the counters.
+func (c *Counters) Stats(segs []*Segment) TierStats {
+	st := TierStats{
+		ANNSearches:       c.annSearches.Load(),
+		ANNCellsProbed:    c.annCells.Load(),
+		ANNDocsScored:     c.annDocs.Load(),
+		QuantSearches:     c.quantSearches.Load(),
+		QuantDocsScanned:  c.quantDocs.Load(),
+		QuantDocsReranked: c.quantReranked.Load(),
+	}
+	for _, s := range segs {
+		if s.Ann != nil {
+			st.ANNSegments++
+			st.ANNDocs += s.Len()
+		}
+		if s.Quant != nil {
+			st.QuantSegments++
+			st.QuantDocs += s.Len()
+			st.QuantBytes += s.Quant.Bytes()
+		}
+	}
+	return st
 }

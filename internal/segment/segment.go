@@ -23,11 +23,12 @@
 //	            segment eligible for future tiered merges.
 //
 // Search treats a set of segments — across all lifecycle states and all
-// shards — as one corpus: SearchSparse/SearchVec flatten the segments
-// into a single scored range, fan the scan out on internal/par, and
-// select bounded top-k under the strict (score desc, global doc asc)
-// total order, so results are deterministic for any segment layout and
-// any worker count.
+// shards — as one corpus: SearchSparseOpts flattens the segments into a
+// single scored range, fans the scan out on internal/par, and selects
+// bounded top-k under the strict (score desc, global doc asc) total
+// order, so results are deterministic for any segment layout and any
+// worker count. It is the one LSI search path: an unsharded index is a
+// single segment with the identity Global mapping.
 package segment
 
 import (

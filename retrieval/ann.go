@@ -5,61 +5,63 @@ import (
 	"fmt"
 
 	"repro/internal/ivf"
+	"repro/internal/quant"
 	"repro/internal/segment"
 )
 
-// The ANN tier at the retrieval layer (see WithANN). Unsharded LSI
-// indexes carry one IVF quantizer over the whole document-vector matrix,
-// trained at Build (and at Open, when the opening options ask for the
-// tier — the quantizer is derived state, cheap to rebuild and
-// deterministic for a fixed seed, so single-stream index files stay
-// format-stable). Sharded indexes delegate to retrieval/shard, where
-// every compacted segment owns a quantizer persisted as an ann-*.ivf
-// sidecar next to its seg-*.idx file.
+// The ANN tier at the retrieval layer (see WithANN). An unsharded LSI
+// index attaches one IVF quantizer to its single segment, trained at
+// Build (and at Open, when the opening options ask for the tier — the
+// quantizer is derived state, cheap to rebuild and deterministic for a
+// fixed seed, so single-stream index files stay format-stable). In a
+// sharded index every compacted segment owns a quantizer persisted as an
+// ann-*.ivf sidecar next to its seg-*.idx file (see retrieval/shard).
+// Either way segment.SearchSparseOpts decides, per segment, whether a
+// search probes.
 
 // annSeedOffset separates the quantizer-training random stream from the
 // decomposition seeds derived from the same configured seed.
 const annSeedOffset = 500009
 
-// trainANN trains the unsharded index's quantizer per cfg; a no-op when
-// the tier is not configured. Build and Open call it after the LSI index
-// exists.
-func (ix *Index) trainANN(cfg config) error {
-	ix.annList, ix.annProbe = cfg.annList, cfg.annProbe
-	if cfg.annList <= 0 || ix.lsiIndex == nil {
-		return nil
+// attachTiers trains the configured tiers onto the unsharded LSI
+// segment — the IVF quantizer (seeded from the configured seed, so a
+// rebuild reproduces it) and the int8 shadow — and records the tier
+// configuration. Build and Open call it once the LSI index exists.
+func (ix *Index) attachTiers(cfg config) error {
+	ix.annList, ix.annProbe, ix.quantBeta = cfg.annList, cfg.annProbe, cfg.quantBeta
+	seg := ix.segs[0]
+	if cfg.annList > 0 {
+		ann, err := ivf.Train(seg.Ix.DocVectors(), seg.Ix.Norms(), ivf.TrainOptions{
+			NList: cfg.annList,
+			Seed:  cfg.seed + annSeedOffset,
+		})
+		if err != nil {
+			return fmt.Errorf("retrieval: training quantizer: %w", err)
+		}
+		ix.annList = ann.NList() // post-clamp truth beats the config
+		if seg, err = seg.WithAnn(ann); err != nil {
+			return err
+		}
 	}
-	ann, err := ivf.Train(ix.lsiIndex.DocVectors(), ix.lsiIndex.Norms(), ivf.TrainOptions{
-		NList: cfg.annList,
-		Seed:  cfg.seed + annSeedOffset,
-	})
-	if err != nil {
-		return fmt.Errorf("retrieval: training quantizer: %w", err)
+	if cfg.quantBeta > 0 {
+		qseg, err := seg.WithQuant(quant.Quantize(seg.Ix.DocVectors()))
+		if err != nil {
+			return err
+		}
+		seg = qseg
 	}
-	ix.ann = ann
+	ix.segs[0] = seg
 	return nil
 }
 
-// searchSparseProbe is searchSparse with an explicit probe budget:
-// nprobe > 0 probes that many cells per quantizer (composing with the
-// configured quantized tier, when one serves), nprobe <= 0 scans fully
-// exactly — float kernels, no tier. Indexes without a quantizer serve
-// every budget through whatever tiers they do have.
-func (ix *Index) searchSparseProbe(terms []int, weights []float64, topN, nprobe int) []Result {
-	var opts segment.ProbeOptions
-	if nprobe > 0 {
-		opts = segment.ProbeOptions{NProbe: nprobe, Beta: ix.quantBeta}
+// probeOptions is the tier routing of a per-request probe budget:
+// nprobe > 0 probes that many cells per quantizer, composing with the
+// configured quantized tier; nprobe <= 0 is the fully exact scan.
+func (ix *Index) probeOptions(nprobe int) segment.ProbeOptions {
+	if nprobe <= 0 {
+		return segment.ProbeOptions{}
 	}
-	return ix.searchSparseOpts(terms, weights, topN, opts)
-}
-
-// searchVecProbe is searchSparseProbe for a dense term-space vector.
-func (ix *Index) searchVecProbe(q []float64, topN, nprobe int) []Result {
-	var opts segment.ProbeOptions
-	if nprobe > 0 {
-		opts = segment.ProbeOptions{NProbe: nprobe, Beta: ix.quantBeta}
-	}
-	return ix.searchVecOpts(q, topN, opts)
+	return segment.ProbeOptions{NProbe: nprobe, Beta: ix.quantBeta}
 }
 
 // SearchProbe is Search with a per-request probe budget overriding the
@@ -82,13 +84,7 @@ func (ix *Index) SearchProbe(ctx context.Context, query string, topN, nprobe int
 	if known == 0 {
 		return nil, fmt.Errorf("%w: %q", ErrNoQueryTerms, query)
 	}
-	var res []Result
-	if ix.backend == BackendVSM {
-		// No latent space to probe; serve the ordinary VSM ranking.
-		res = ix.searchSparse(terms, weights, topN)
-	} else {
-		res = ix.searchSparseProbe(terms, weights, topN, nprobe)
-	}
+	res := ix.search(terms, weights, topN, ix.probeOptions(nprobe))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -105,12 +101,8 @@ func (ix *Index) SearchVectorProbe(ctx context.Context, q []float64, topN, nprob
 	if len(q) != ix.NumTerms() {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrVectorLength, len(q), ix.NumTerms())
 	}
-	var res []Result
-	if ix.backend == BackendVSM {
-		res = ix.searchVec(q, topN)
-	} else {
-		res = ix.searchVecProbe(q, topN, nprobe)
-	}
+	terms, weights := sparseVector(q)
+	res := ix.search(terms, weights, topN, ix.probeOptions(nprobe))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -141,27 +133,25 @@ type ANNStats struct {
 // is false when the index has no tier (not configured, or a backend
 // without one).
 func (ix *Index) ANNStats() (ANNStats, bool) {
-	st := ANNStats{NList: ix.annList, NProbe: ix.annProbe}
-	switch {
-	case ix.sharded != nil:
-		ss := ix.sharded.Stats()
-		if ix.annList <= 0 && ss.ANNSegments == 0 {
-			return ANNStats{}, false
-		}
-		st.Segments = ss.ANNSegments
-		st.Docs = ss.ANNDocs
-		st.Searches = ss.ANNSearches
-		st.CellsProbed = ss.ANNCellsProbed
-		st.DocsScored = ss.ANNDocsScored
-	case ix.ann != nil:
-		st.NList = ix.ann.NList() // post-clamp truth beats the config
-		st.Segments = 1
-		st.Docs = ix.ann.NumDocs()
-		st.Searches = ix.annSearches.Load()
-		st.CellsProbed = ix.annCells.Load()
-		st.DocsScored = ix.annDocs.Load()
-	default:
+	ts := ix.tierStats()
+	if ix.annList <= 0 && ts.ANNSegments == 0 {
 		return ANNStats{}, false
 	}
-	return st, true
+	return ANNStats{
+		NList:       ix.annList,
+		NProbe:      ix.annProbe,
+		Segments:    ts.ANNSegments,
+		Docs:        ts.ANNDocs,
+		Searches:    ts.ANNSearches,
+		CellsProbed: ts.ANNCellsProbed,
+		DocsScored:  ts.ANNDocsScored,
+	}, true
+}
+
+// tierStats summarizes the LSI segment set's tier sidecars and counters.
+func (ix *Index) tierStats() segment.TierStats {
+	if ix.sharded != nil {
+		return ix.sharded.Stats().TierStats
+	}
+	return ix.tiers.Stats(ix.segs)
 }

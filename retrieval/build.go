@@ -6,15 +6,14 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/corpus"
 	"repro/internal/ir"
-	"repro/internal/ivf"
 	"repro/internal/lsi"
 	"repro/internal/par"
-	"repro/internal/quant"
+	"repro/internal/segment"
 	"repro/internal/sparse"
+	"repro/internal/topk"
 	"repro/internal/vsm"
 	"repro/retrieval/cache"
 	"repro/retrieval/shard"
@@ -28,7 +27,11 @@ import (
 type Index struct {
 	backend Backend
 
-	lsiIndex *lsi.Index
+	// segs holds an unsharded LSI index as one immutable segment with the
+	// identity Global mapping and, when configured, its IVF quantizer and
+	// int8 shadow — so unsharded and sharded LSI indexes share
+	// segment.SearchSparseOpts. nil for VSM and sharded indexes.
+	segs     []*segment.Segment
 	vsmIndex *vsm.Index
 	matrix   *sparse.CSR  // term-document matrix, retained for VSM persistence
 	sharded  *shard.Index // non-nil iff built with WithShards
@@ -39,28 +42,12 @@ type Index struct {
 	stemming        bool
 	docIDs          []string
 
-	// The ANN tier (WithANN). ann is the unsharded index's quantizer —
-	// sharded indexes keep one per compacted segment down in
-	// retrieval/shard. annList/annProbe remember the configuration
-	// (annProbe is the default probe budget of Search; 0 = exhaustive);
-	// the atomics count unsharded probe work for Stats and /metrics.
-	ann         *ivf.Index
-	annList     int
-	annProbe    int
-	annSearches atomic.Int64
-	annCells    atomic.Int64
-	annDocs     atomic.Int64
-
-	// The quantized scoring tier (WithQuantized). quant is the unsharded
-	// index's int8 shadow — sharded indexes keep one per compacted
-	// segment down in retrieval/shard. quantBeta is the default rerank
-	// over-fetch factor of Search (0 = the tier is off); the atomics
-	// count unsharded scan work for Stats and /metrics.
-	quant         *quant.Matrix
-	quantBeta     int
-	quantSearches atomic.Int64
-	quantScanned  atomic.Int64
-	quantReranked atomic.Int64
+	// The approximate tiers (WithANN, WithQuantized): annList is the cell
+	// count, annProbe and quantBeta the default budget of Search (0 =
+	// exhaustive, resp. float scoring). tiers counts the unsharded
+	// index's tier work; sharded indexes count in retrieval/shard.
+	annList, annProbe, quantBeta int
+	tiers                        segment.Counters
 
 	qc *queryCache // non-nil iff built/opened with WithQueryCache
 
@@ -146,14 +133,12 @@ func Build(docs []Document, opts ...Option) (*Index, error) {
 		if rank <= 0 {
 			rank = autoRank(c.NumTerms, len(c.Docs))
 		}
-		ix.lsiIndex, err = lsi.Build(a, rank, lsi.Options{Engine: engine, Seed: cfg.seed})
+		lx, err := lsi.Build(a, rank, lsi.Options{Engine: engine, Seed: cfg.seed})
 		if err != nil {
 			return nil, fmt.Errorf("retrieval: building LSI index: %w", err)
 		}
-		if err := ix.trainANN(cfg); err != nil {
-			return nil, err
-		}
-		if err := ix.trainQuant(cfg); err != nil {
+		ix.segs = []*segment.Segment{identitySegment(lx)}
+		if err := ix.attachTiers(cfg); err != nil {
 			return nil, err
 		}
 	case BackendVSM:
@@ -183,7 +168,7 @@ func (ix *Index) NumDocs() int {
 	case ix.backend == BackendVSM:
 		return ix.vsmIndex.NumDocs()
 	}
-	return ix.lsiIndex.NumDocs()
+	return ix.segs[0].Len()
 }
 
 // NumTerms returns the vocabulary size the index was built over.
@@ -194,7 +179,7 @@ func (ix *Index) NumTerms() int {
 	case ix.backend == BackendVSM:
 		return ix.vsmIndex.NumTerms()
 	}
-	return ix.lsiIndex.NumTerms()
+	return ix.segs[0].Ix.NumTerms()
 }
 
 // Rank returns the retained LSI rank (0 for the VSM backend; the
@@ -206,7 +191,7 @@ func (ix *Index) Rank() int {
 	case ix.backend == BackendVSM:
 		return 0
 	}
-	return ix.lsiIndex.K()
+	return ix.segs[0].Ix.K()
 }
 
 // Stats describes the index, including a per-backend memory estimate
@@ -253,15 +238,16 @@ func (ix *Index) Stats() Stats {
 		st.MemoryBytes += nnz*16 + int64(m)*8   // postings + norms
 		st.MemoryBytes += nnz*16 + int64(n+1)*8 // retained CSR
 	default:
-		n := int64(ix.lsiIndex.NumTerms())
-		m := int64(ix.lsiIndex.NumDocs())
-		k := int64(ix.lsiIndex.K())
-		st.MemoryBytes += 8 * (n*k + m*k + k + m) // basis + doc rows + sigma + norms
-		if ann := ix.ann; ann != nil {
+		seg := ix.segs[0]
+		n := int64(seg.Ix.NumTerms())
+		m := int64(seg.Len())
+		k := int64(seg.Ix.K())
+		st.MemoryBytes += 8 * (n*k + m*k + k + 2*m) // basis + doc rows + sigma + norms + Global
+		if ann := seg.Ann; ann != nil {
 			nlist := int64(ann.NList())
 			st.MemoryBytes += 8*nlist*int64(ann.Dim()) + 8*nlist + 8*(nlist+1) + 4*int64(ann.NumDocs())
 		}
-		if qm := ix.quant; qm != nil {
+		if qm := seg.Quant; qm != nil {
 			st.MemoryBytes += qm.Bytes()
 		}
 	}
@@ -330,54 +316,34 @@ func (ix *Index) querySparse(query string) (terms []int, weights []float64, know
 	return terms, weights, known
 }
 
-// toResults converts n backend matches to public Results via at, which
-// returns match i's (doc, score) — the one conversion loop shared by
-// both backends' single and batch paths.
-func (ix *Index) toResults(n int, at func(int) (int, float64)) []Result {
-	out := make([]Result, n)
-	for i := range out {
-		doc, score := at(i)
-		out[i] = Result{Doc: doc, ID: ix.DocID(doc), Score: score}
+// search is the one search path: every query — text or vector, default
+// or per-request budget, unsharded or sharded — ranks here. LSI queries
+// run through segment.SearchSparseOpts (an unsharded index is one
+// segment), so the tier decision is made in one place; VSM keeps its
+// inverted-file kernel and ignores the tier options.
+func (ix *Index) search(terms []int, weights []float64, topN int, opts segment.ProbeOptions) []Result {
+	var ms []topk.Match
+	switch {
+	case ix.sharded != nil:
+		ms, _ = ix.sharded.SearchSparseOpts(terms, weights, topN, opts)
+	case ix.backend == BackendVSM:
+		ms = ix.vsmIndex.SearchSparse(terms, weights, topN)
+	default:
+		var st segment.ProbeStats
+		ms, st = segment.SearchSparseOpts(ix.segs, terms, weights, topN, opts)
+		ix.tiers.Record(st)
+	}
+	out := make([]Result, len(ms))
+	for i, m := range ms {
+		out[i] = Result{Doc: m.Doc, ID: ix.DocID(m.Doc), Score: m.Score}
 	}
 	return out
 }
 
-// searchVec ranks documents against a validated dense term-space vector
-// (the SearchVector path; text queries go through searchSparse).
-func (ix *Index) searchVec(q []float64, topN int) []Result {
-	if ix.annProbe > 0 || ix.quantBeta > 0 {
-		return ix.searchVecOpts(q, topN, ix.probeOpts())
-	}
-	if ix.sharded != nil {
-		ms := ix.sharded.SearchVec(q, topN)
-		return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
-	}
-	if ix.backend == BackendVSM {
-		ms := ix.vsmIndex.Search(q, topN)
-		return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
-	}
-	ms := ix.lsiIndex.Search(q, topN)
-	return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
-}
-
-// searchSparse ranks documents against a validated sparse query (terms
-// sorted ascending), staying on the backends' sparse hot paths. With a
-// configured default probe budget (WithANN's nprobe > 0) it routes
-// through the ANN tier.
+// searchSparse is search at the configured default budget: the path of
+// Search, SearchVector, SearchBatch and the query cache.
 func (ix *Index) searchSparse(terms []int, weights []float64, topN int) []Result {
-	if ix.annProbe > 0 || ix.quantBeta > 0 {
-		return ix.searchSparseOpts(terms, weights, topN, ix.probeOpts())
-	}
-	if ix.sharded != nil {
-		ms := ix.sharded.SearchSparse(terms, weights, topN)
-		return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
-	}
-	if ix.backend == BackendVSM {
-		ms := ix.vsmIndex.SearchSparse(terms, weights, topN)
-		return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
-	}
-	ms := ix.lsiIndex.SearchSparse(terms, weights, topN)
-	return ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score })
+	return ix.search(terms, weights, topN, segment.ProbeOptions{NProbe: ix.annProbe, Beta: ix.quantBeta})
 }
 
 // Search implements Retriever: it preprocesses the query with the
@@ -408,23 +374,38 @@ func (ix *Index) SearchVector(ctx context.Context, q []float64, topN int) ([]Res
 	if len(q) != ix.NumTerms() {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrVectorLength, len(q), ix.NumTerms())
 	}
-	res := ix.searchVec(q, topN)
+	terms, weights := sparseVector(q)
+	res := ix.searchSparse(terms, weights, topN)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
+// sparseVector converts a dense term-space query to the sparse form every
+// search consumes: its nonzero entries, terms ascending — bitwise the
+// same scores, since both backends' dense kernels skip zero entries and
+// accumulate in ascending term order.
+func sparseVector(q []float64) (terms []int, weights []float64) {
+	for t, w := range q {
+		if w != 0 {
+			terms = append(terms, t)
+			weights = append(weights, w)
+		}
+	}
+	return terms, weights
+}
+
 // batchChunk bounds how many queries run between context checks in
 // SearchBatch: small enough that cancellation is honored promptly, large
-// enough that the parallel backend batch kernels stay saturated.
+// enough that the workers stay saturated.
 const batchChunk = 64
 
-// SearchBatch implements Retriever: it runs every query through the same
-// path as Search, fanning the per-query work across CPUs via the backend
-// batch kernels and checking ctx between chunks of batchChunk queries.
-// Queries with no in-vocabulary terms yield empty (non-nil) result
-// slices; result order matches query order.
+// SearchBatch implements Retriever: it answers what it can from the query
+// cache, then runs the misses through the same path as Search, fanning
+// whole queries across CPUs and checking ctx between chunks of batchChunk
+// queries. Queries with no in-vocabulary terms yield empty (non-nil)
+// result slices; result order matches query order.
 func (ix *Index) SearchBatch(ctx context.Context, queries []string, topN int) ([][]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -432,69 +413,51 @@ func (ix *Index) SearchBatch(ctx context.Context, queries []string, topN int) ([
 	if ix.vocab == nil {
 		return nil, ErrNoVocabulary
 	}
-	out := make([][]Result, len(queries))
-	qterms := make([][]int, 0, len(queries))
-	qweights := make([][]float64, 0, len(queries))
-	qpos := make([]int, 0, len(queries)) // query index of each sparse vector
-	for i, query := range queries {
-		if terms, weights, known := ix.querySparse(query); known > 0 {
-			qterms = append(qterms, terms)
-			qweights = append(qweights, weights)
-			qpos = append(qpos, i)
-		} else {
-			out[i] = []Result{}
-		}
+	type miss struct {
+		i       int
+		terms   []int
+		weights []float64
+		key     []byte
 	}
-	// With a query cache, answer what we can from it and narrow the
-	// batch to the misses; computed misses are stored after their chunk
-	// if the epoch stayed stable (the same publish-then-bump validity
-	// protocol as the single-query path).
-	var cacheKeys [][]byte
-	var batchEpoch uint64
+	// Computed misses are stored after their chunk if the epoch stayed
+	// stable: the same publish-then-bump validity protocol as Search.
+	var epoch uint64
 	if ix.qc != nil {
-		batchEpoch = ix.qc.epoch()
-		cacheKeys = make([][]byte, 0, len(qterms))
-		kept := 0
-		for i := range qterms {
-			key := cache.AppendQueryKey(nil, batchEpoch, topN, qterms[i], qweights[i])
+		epoch = ix.qc.epoch()
+	}
+	out := make([][]Result, len(queries))
+	misses := make([]miss, 0, len(queries))
+	for i, query := range queries {
+		terms, weights, known := ix.querySparse(query)
+		if known == 0 {
+			out[i] = []Result{}
+			continue
+		}
+		var key []byte
+		if ix.qc != nil {
+			key = cache.AppendQueryKey(nil, epoch, topN, terms, weights)
 			if v, ok := ix.qc.c.Get(key); ok {
-				out[qpos[i]] = copyResults(v)
+				out[i] = copyResults(v)
 				continue
 			}
-			qterms[kept], qweights[kept], qpos[kept] = qterms[i], qweights[i], qpos[i]
-			cacheKeys = append(cacheKeys, key)
-			kept++
 		}
-		qterms, qweights, qpos = qterms[:kept], qweights[:kept], qpos[:kept]
+		misses = append(misses, miss{i, terms, weights, key})
 	}
-	for lo := 0; lo < len(qterms); lo += batchChunk {
+	grain := par.GrainFor((1 + ix.NumDocs()) * max(ix.Rank(), 1))
+	for lo := 0; lo < len(misses); lo += batchChunk {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		hi := min(lo+batchChunk, len(qterms))
-		var chunk [][]Result
-		if ix.sharded != nil || ix.tiered() {
-			// Sharded and tier-routed searches go query-by-query through the
-			// same dispatch as Search; each query parallelizes internally.
-			for i := lo; i < hi; i++ {
-				chunk = append(chunk, ix.searchSparse(qterms[i], qweights[i], topN))
+		chunk := misses[lo:min(lo+batchChunk, len(misses))]
+		par.For(len(chunk), grain, func(a, b int) {
+			for _, m := range chunk[a:b] {
+				out[m.i] = ix.searchSparse(m.terms, m.weights, topN)
 			}
-		} else if ix.backend == BackendVSM {
-			for _, ms := range ix.vsmIndex.SearchBatchSparse(qterms[lo:hi], qweights[lo:hi], topN) {
-				chunk = append(chunk, ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score }))
-			}
-		} else {
-			for _, ms := range ix.lsiIndex.SearchBatchSparse(qterms[lo:hi], qweights[lo:hi], topN) {
-				chunk = append(chunk, ix.toResults(len(ms), func(i int) (int, float64) { return ms[i].Doc, ms[i].Score }))
-			}
-		}
-		store := ix.qc != nil && ix.qc.epoch() == batchEpoch
-		for i, res := range chunk {
-			out[qpos[lo+i]] = res
-			if store {
-				// The caller owns res; cache a private copy under the
-				// key encoded at probe time.
-				ix.qc.c.Put(cacheKeys[lo+i], copyResults(res))
+		})
+		if ix.qc != nil && ix.qc.epoch() == epoch {
+			for _, m := range chunk {
+				// The caller owns out[m.i]; cache a private copy.
+				ix.qc.c.Put(m.key, copyResults(out[m.i]))
 			}
 		}
 	}
@@ -502,4 +465,14 @@ func (ix *Index) SearchBatch(ctx context.Context, queries []string, topN int) ([
 		return nil, err
 	}
 	return out, nil
+}
+
+// identitySegment wraps an unsharded LSI index as one compacted segment
+// whose Global mapping is the identity.
+func identitySegment(lx *lsi.Index) *segment.Segment {
+	global := make([]int, lx.NumDocs())
+	for i := range global {
+		global[i] = i
+	}
+	return &segment.Segment{Ix: lx, Global: global, Compacted: true}
 }

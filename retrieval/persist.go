@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/lsi"
+	"repro/internal/segment"
 	"repro/internal/sparse"
 	"repro/internal/vsm"
 )
@@ -89,7 +90,7 @@ func (ix *Index) Save(w io.Writer) error {
 			Stemming:        ix.stemming,
 		}
 	}
-	return ix.lsiIndex.SaveMeta(w, meta)
+	return ix.segs[0].Ix.SaveMeta(w, meta)
 }
 
 // TextConfig supplies the text layer for indexes whose stream predates
@@ -206,7 +207,7 @@ func (t textWire) empty() bool {
 }
 
 func loadLSI(lsiIndex *lsi.Index, stored textWire, text *TextConfig) (*Index, error) {
-	ix := &Index{backend: BackendLSI, lsiIndex: lsiIndex, weighting: WeightingLog}
+	ix := &Index{backend: BackendLSI, segs: []*segment.Segment{identitySegment(lsiIndex)}, weighting: WeightingLog}
 	switch {
 	case !stored.empty():
 		if len(stored.Vocab) > 0 && len(stored.Vocab) != lsiIndex.NumTerms() {

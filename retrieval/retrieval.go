@@ -63,11 +63,10 @@ type Result struct {
 	// Score is the cosine similarity between query and document — in the
 	// rank-k latent space for the LSI backend, in raw term space for VSM.
 	//
-	// Scores are stable across query paths and releases to within 1e-12:
-	// the sparse text hot path, the dense SearchVector path, and batch
-	// calls agree on a document's score to at least that tolerance (hot-
-	// path kernel changes may move the last ulps), and rankings —
-	// including the document-ID tie-break — are identical.
+	// The text, vector and batch paths are one path, so they return
+	// identical scores and rankings (including the document-ID
+	// tie-break). Across releases scores are stable to within 1e-12:
+	// hot-path kernel changes may move the last ulps.
 	Score float64 `json:"score"`
 }
 

@@ -54,13 +54,13 @@ func TestANNFullProbeMatchesExhaustiveBitwise(t *testing.T) {
 		terms, weights := sparseCol(a, j)
 		want := x.SearchSparse(terms, weights, 10)
 		// nprobe >= nlist probes every cell: bitwise-equal to exhaustive.
-		got, st := x.SearchSparseProbe(terms, weights, 10, 99)
+		got, st := x.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 99})
 		sameMatches(t, got, want, "full probe")
 		if st.Probed != 3 || st.ExactDocs != 0 {
 			t.Fatalf("full probe stats %+v, want 3 probed segments and no exact scan", st)
 		}
 		// nprobe <= 0 is the exhaustive escape hatch.
-		got, st = x.SearchSparseProbe(terms, weights, 10, 0)
+		got, st = x.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 0})
 		sameMatches(t, got, want, "escape hatch")
 		if st.Probed != 0 || st.ExactDocs != 80 {
 			t.Fatalf("escape hatch stats %+v, want pure exhaustive scan", st)
@@ -77,11 +77,11 @@ func TestANNProbeDeterministicAcrossWorkers(t *testing.T) {
 	defer x.Close()
 	terms, weights := sparseCol(a, 5)
 	prev := par.SetMaxProcs(1)
-	want, _ := x.SearchSparseProbe(terms, weights, 12, 2)
+	want, _ := x.SearchSparseOpts(terms, weights, 12, segment.ProbeOptions{NProbe: 2})
 	par.SetMaxProcs(prev)
 	for _, workers := range []int{2, 3, 8} {
 		prev := par.SetMaxProcs(workers)
-		got, _ := x.SearchSparseProbe(terms, weights, 12, 2)
+		got, _ := x.SearchSparseOpts(terms, weights, 12, segment.ProbeOptions{NProbe: 2})
 		par.SetMaxProcs(prev)
 		sameMatches(t, got, want, "probe across workers")
 	}
@@ -106,7 +106,7 @@ func TestANNMixedSegmentsLiveStayExact(t *testing.T) {
 		}
 	}
 	terms, weights := sparseCol(a, 2)
-	got, st := x.SearchSparseProbe(terms, weights, 45, 99)
+	got, st := x.SearchSparseOpts(terms, weights, 45, segment.ProbeOptions{NProbe: 99})
 	if st.Probed != 1 || st.ExactDocs != 5 {
 		t.Fatalf("mixed stats %+v, want 1 probed segment and 5 exact docs", st)
 	}
@@ -166,7 +166,7 @@ func TestANNMinDocsGate(t *testing.T) {
 	}
 	// Probe search still works — it just scans exhaustively.
 	terms, weights := sparseCol(a, 1)
-	got, st := x.SearchSparseProbe(terms, weights, 10, 2)
+	got, st := x.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 2})
 	if st.Probed != 0 || st.ExactDocs != 50 {
 		t.Fatalf("stats %+v, want pure exhaustive scan", st)
 	}
@@ -211,8 +211,8 @@ func TestANNSaveOpenRoundTrip(t *testing.T) {
 	}
 	for j := 0; j < 8; j++ {
 		terms, weights := sparseCol(a, j)
-		want, _ := x.SearchSparseProbe(terms, weights, 10, 2)
-		got, _ := y.SearchSparseProbe(terms, weights, 10, 2)
+		want, _ := x.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 2})
+		got, _ := y.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 2})
 		sameMatches(t, got, want, "reloaded probe")
 	}
 
@@ -254,7 +254,7 @@ func TestANNOpenTrainsWhenSidecarMissing(t *testing.T) {
 		t.Fatalf("%d quantized segments after ANN-enabled open, want 2", got)
 	}
 	terms, weights := sparseCol(a, 3)
-	got, _ := y.SearchSparseProbe(terms, weights, 10, 99)
+	got, _ := y.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 99})
 	sameMatches(t, got, y.SearchSparse(terms, weights, 10), "trained-on-open full probe")
 }
 
@@ -278,7 +278,7 @@ func TestANNExportCarriesSidecars(t *testing.T) {
 		t.Fatalf("%d quantized segments in exported shard, want 1", got)
 	}
 	terms, weights := sparseCol(a, 0)
-	got, _ := y.SearchSparseProbe(terms, weights, 10, 99)
+	got, _ := y.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 99})
 	sameMatches(t, got, y.SearchSparse(terms, weights, 10), "exported full probe")
 }
 
@@ -290,7 +290,7 @@ func TestANNStatsCounters(t *testing.T) {
 	}
 	defer x.Close()
 	terms, weights := sparseCol(a, 4)
-	_, st := x.SearchSparseProbe(terms, weights, 10, 2)
+	_, st := x.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 2})
 	if st.Cells != 2 || st.Docs <= 0 || st.Docs >= 50 {
 		t.Fatalf("probe stats %+v, want 2 cells and a partial scan", st)
 	}
@@ -299,8 +299,8 @@ func TestANNStatsCounters(t *testing.T) {
 		t.Fatalf("counter stats %+v vs probe %+v", s, st)
 	}
 	var ps segment.ProbeStats
-	_, ps = x.SearchSparseProbe(terms, weights, 10, 0) // escape hatch: no counter movement
-	if ps.Probed != 0 || x.ANNSearches() != 1 {
-		t.Fatalf("escape hatch moved counters: %+v, searches=%d", ps, x.ANNSearches())
+	_, ps = x.SearchSparseOpts(terms, weights, 10, segment.ProbeOptions{NProbe: 0}) // escape hatch: no counter movement
+	if ps.Probed != 0 || x.Stats().ANNSearches != 1 {
+		t.Fatalf("escape hatch moved counters: %+v, searches=%d", ps, x.Stats().ANNSearches)
 	}
 }

@@ -327,8 +327,8 @@ func TestQuantStatsCounters(t *testing.T) {
 	}
 	var ps segment.ProbeStats
 	_, ps = x.SearchSparseOpts(terms, weights, 5, segment.ProbeOptions{}) // escape hatch: no counter movement
-	if ps.QuantSegs != 0 || x.QuantSearches() != 1 {
-		t.Fatalf("escape hatch moved counters: %+v, searches=%d", ps, x.QuantSearches())
+	if ps.QuantSegs != 0 || x.Stats().QuantSearches != 1 {
+		t.Fatalf("escape hatch moved counters: %+v, searches=%d", ps, x.Stats().QuantSearches)
 	}
 }
 

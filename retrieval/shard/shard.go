@@ -74,7 +74,7 @@ type Config struct {
 	// quantizers already present on loaded segments still serve.
 	ANNList int
 	// ANNProbe is the default probe budget the owning layer passes to
-	// SearchSparseProbe; the shard layer stores it for Stats only.
+	// SearchSparseOpts; the shard layer stores it for Stats only.
 	ANNProbe int
 	// ANNMinDocs is the smallest segment worth a quantizer (0 = default
 	// 256; set negative-impossible sizes like 1 in tests to train tiny
@@ -176,15 +176,8 @@ type Index struct {
 	// comparable between a primary and its replicas.
 	generation atomic.Uint64
 
-	// ANN probe counters (see ANNSearches and friends in ann.go).
-	annSearches atomic.Int64
-	annCells    atomic.Int64
-	annDocs     atomic.Int64
-
-	// Quantized-tier counters (see QuantSearches and friends in quant.go).
-	quantSearches atomic.Int64
-	quantDocs     atomic.Int64
-	quantReranked atomic.Int64
+	// tiers counts the ANN and int8 work of SearchSparseOpts for Stats.
+	tiers segment.Counters
 
 	// globalEpoch counts published mutations index-wide. It is bumped
 	// AFTER the mutation's state pointers are stored (ingest publishes
@@ -359,12 +352,8 @@ func (x *Index) snapshot() []*segment.Segment {
 // ingest and compaction: the segment set is snapshotted once and every
 // segment in it is immutable.
 func (x *Index) SearchSparse(terms []int, weights []float64, topN int) []topk.Match {
-	return segment.SearchSparse(x.snapshot(), terms, weights, topN)
-}
-
-// SearchVec is SearchSparse for a dense term-space query vector.
-func (x *Index) SearchVec(q []float64, topN int) []topk.Match {
-	return segment.SearchVec(x.snapshot(), q, topN)
+	ms, _ := x.SearchSparseOpts(terms, weights, topN, segment.ProbeOptions{})
+	return ms
 }
 
 // Stats describes the index's segment topology and resource use.
@@ -395,26 +384,9 @@ type Stats struct {
 	Compacting bool `json:"compacting"`
 	// MemoryBytes estimates the heap held by segment data.
 	MemoryBytes int64 `json:"memoryBytes"`
-	// The ANN tier: ANNSegments counts segments carrying an IVF
-	// quantizer, ANNDocs the documents they cover (ANNDocs/Docs is the
-	// corpus fraction served sublinearly); the lifetime counters mirror
-	// the ANNSearches/ANNCellsProbed/ANNDocsScored accessors.
-	ANNSegments    int   `json:"annSegments"`
-	ANNDocs        int   `json:"annDocs"`
-	ANNSearches    int64 `json:"annSearches"`
-	ANNCellsProbed int64 `json:"annCellsProbed"`
-	ANNDocsScored  int64 `json:"annDocsScored"`
-	// The quantized tier: QuantSegments counts segments carrying an int8
-	// shadow, QuantDocs the documents they cover, QuantBytes the shadows'
-	// footprint (compare against ~8·QuantDocs·rank for the float rows they
-	// stand in for); the lifetime counters mirror the QuantSearches/
-	// QuantDocsScanned/QuantDocsReranked accessors.
-	QuantSegments     int   `json:"quantSegments"`
-	QuantDocs         int   `json:"quantDocs"`
-	QuantBytes        int64 `json:"quantBytes"`
-	QuantSearches     int64 `json:"quantSearches"`
-	QuantDocsScanned  int64 `json:"quantDocsScanned"`
-	QuantDocsReranked int64 `json:"quantDocsReranked"`
+	// TierStats describes the ANN and int8 sidecars and the lifetime
+	// work SearchSparseOpts did through them.
+	segment.TierStats
 }
 
 // Stats snapshots the segment topology.
@@ -423,13 +395,14 @@ func (x *Index) Stats() Stats {
 	// Fold-in segments share their basis matrix with the segment they
 	// fold against; count each distinct basis once.
 	seenBasis := make(map[*mat.Dense]bool)
+	var all []*segment.Segment
 	for _, sh := range x.shards {
 		s := sh.state.Load()
 		if s.epoch > st.Epoch {
 			st.Epoch = s.epoch
 		}
-		var segs []*segment.Segment
-		segs = s.segments(segs)
+		segs := s.segments(nil)
+		all = append(all, segs...)
 		for _, seg := range segs {
 			st.Segments++
 			st.Docs += seg.Len()
@@ -455,15 +428,10 @@ func (x *Index) Stats() Stats {
 				st.MemoryBytes += 8 * int64(seg.Ix.NumTerms()) * k
 			}
 			if ann := seg.Ann; ann != nil {
-				st.ANNSegments++
-				st.ANNDocs += seg.Len()
 				nlist := int64(ann.NList())
 				st.MemoryBytes += 8*nlist*int64(ann.Dim()) + 8*nlist + 8*(nlist+1) + 4*int64(ann.NumDocs())
 			}
 			if qm := seg.Quant; qm != nil {
-				st.QuantSegments++
-				st.QuantDocs += seg.Len()
-				st.QuantBytes += qm.Bytes()
 				st.MemoryBytes += qm.Bytes()
 			}
 		}
@@ -473,12 +441,7 @@ func (x *Index) Stats() Stats {
 	}
 	st.Compactions = x.compactions.Load()
 	st.Compacting = x.compacting.Load() > 0
-	st.ANNSearches = x.annSearches.Load()
-	st.ANNCellsProbed = x.annCells.Load()
-	st.ANNDocsScored = x.annDocs.Load()
-	st.QuantSearches = x.quantSearches.Load()
-	st.QuantDocsScanned = x.quantDocs.Load()
-	st.QuantDocsReranked = x.quantReranked.Load()
+	st.TierStats = x.tiers.Stats(all)
 	return st
 }
 

@@ -72,8 +72,7 @@ func buildSharded(ix *Index, a *sparse.CSR, ids []string, numTerms, numDocs int,
 		return nil, fmt.Errorf("retrieval: building sharded index: %w", err)
 	}
 	ix.sharded = sx
-	ix.annList, ix.annProbe = cfg.annList, cfg.annProbe
-	ix.quantBeta = cfg.quantBeta
+	ix.annList, ix.annProbe, ix.quantBeta = cfg.annList, cfg.annProbe, cfg.quantBeta
 	ix.docIDs = nil // the shard directory owns external IDs in sharded mode
 	return ix, nil
 }
@@ -298,9 +297,10 @@ func OpenDir(dir string, opts ...Option) (*Index, error) {
 		weighting:       weighting,
 		removeStopwords: meta.RemoveStopwords,
 		stemming:        meta.Stemming,
+		annList:         cfg.annList,
+		annProbe:        cfg.annProbe,
+		quantBeta:       cfg.quantBeta,
 	}
-	ix.annList, ix.annProbe = cfg.annList, cfg.annProbe
-	ix.quantBeta = cfg.quantBeta
 	ix.initCache(cfg.cacheBytes)
 	return ix, nil
 }
@@ -334,21 +334,15 @@ func Open(path string, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.annList > 0 {
-		if ix.backend != BackendLSI {
-			return nil, fmt.Errorf("retrieval: open: WithANN requires the LSI backend (got %s)", ix.backend)
-		}
-		if err := ix.trainANN(cfg); err != nil {
+	switch {
+	case ix.backend == BackendLSI:
+		if err := ix.attachTiers(cfg); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.quantBeta > 0 {
-		if ix.backend != BackendLSI {
-			return nil, fmt.Errorf("retrieval: open: %w", errQuantBackend(ix.backend))
-		}
-		if err := ix.trainQuant(cfg); err != nil {
-			return nil, err
-		}
+	case cfg.annList > 0:
+		return nil, fmt.Errorf("retrieval: open: WithANN requires the LSI backend (got %s)", ix.backend)
+	case cfg.quantBeta > 0:
+		return nil, fmt.Errorf("retrieval: open: %w", errQuantBackend(ix.backend))
 	}
 	ix.initCache(cfg.cacheBytes)
 	return ix, nil

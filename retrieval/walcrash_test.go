@@ -75,6 +75,18 @@ read:
 	if err := cmd.Process.Kill(); err != nil { // SIGKILL: no deferred cleanup runs
 		t.Fatal(err)
 	}
+	// The child kept adding and acking while we decided to kill it: drain
+	// the pipe to EOF so maxAck is its true last ack. Drain before Wait,
+	// which closes the pipe and would drop unread lines.
+	for line := range lines {
+		if ack, ok := strings.CutPrefix(line, "ACK "); ok {
+			n, err := strconv.Atoi(ack)
+			if err != nil {
+				t.Fatalf("bad ack line %q", line)
+			}
+			maxAck = n
+		}
+	}
 	cmd.Wait()
 
 	// Recover exactly as a restarted server would.

@@ -43,8 +43,9 @@ BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkQuantizedScan'
 COUNT=5
 TIME="0.3s"
 # The packages holding the gated benchmarks: the root suite (query
-# latency + batch), the backend hot paths, and the int8 scan kernels.
-PKGS=". ./internal/vsm ./internal/lsi ./internal/quant"
+# latency + batch), the backend hot paths, the int8 scan kernels, and
+# the segment scan every LSI query runs through.
+PKGS=". ./internal/vsm ./internal/lsi ./internal/quant ./internal/segment"
 
 while getopts "r:a:b:t:o:B:c:T:" opt; do
 	case $opt in
