@@ -101,7 +101,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	ctx := context.Background()
 	answer := func(q string) error {
 		res, err := lsiIx.Search(ctx, q, *topN)
-		if errors.Is(err, retrieval.ErrNoQueryTerms) {
+		// An empty line is an invalid request; it has no terms either.
+		if errors.Is(err, retrieval.ErrNoQueryTerms) || errors.Is(err, retrieval.ErrInvalidRequest) {
 			fmt.Fprintln(stdout, "  (no query terms in the vocabulary)")
 			return nil
 		}

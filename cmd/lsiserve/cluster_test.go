@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/retrieval"
 	"repro/retrieval/httpapi"
 )
 
@@ -95,7 +96,7 @@ func TestEndToEndClusterServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sr httpapi.SearchResponse
+	var sr retrieval.SearchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +192,14 @@ func TestClusterFlagConflicts(t *testing.T) {
 		{"-cluster", "m.json", "doc.txt"},
 		{"-replica-of", "http://x", "-index", "x.idx"},
 		{"-replica-of", "http://x", "-save-cluster", "out"},
+		{"-cluster", "m.json", "-cache-mb", "32"},
+		{"-cluster", "m.json", "-ann-nlist", "16"},
+		{"-cluster", "m.json", "-ann-nprobe", "2"},
+		{"-cluster", "m.json", "-quant-beta", "4"},
+		{"-replica-of", "http://x", "-cache-mb", "0"},
+		{"-replica-of", "http://x", "-ann-nlist", "16"},
+		{"-replica-of", "http://x", "-ann-nprobe", "2"},
+		{"-replica-of", "http://x", "-quant-beta", "4"},
 		{"-checkpoint-every", "30s"}, // no -wal-dir
 	}
 	for _, args := range bad {

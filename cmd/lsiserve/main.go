@@ -33,7 +33,10 @@
 // when documents arrived; -cluster serves the routing tier over the
 // nodes in a manifest file (SIGHUP re-reads it — the version must
 // strictly increase); -replica-of mirrors a node by snapshot pull +
-// WAL tail and serves read traffic for it.
+// WAL tail and serves read traffic for it. The router and the replica
+// build no index of their own, so they reject the build, cache and tier
+// flags; both answer every /v1/search form, "vector" and "nprobe"
+// included.
 //
 // Each file argument is one document; with no files (and no -index) the
 // built-in demo corpus is served, which is what the CI smoke test and
@@ -179,7 +182,10 @@ func parseFlags(args []string, stderr io.Writer) (serveConfig, error) {
 	}
 	cfg.files = fs.Args()
 	// The three serving modes are exclusive, and the router/replica modes
-	// build no index of their own — reject flags they would ignore.
+	// build no index of their own — reject flags they would ignore: the
+	// build flags, and the cache and tier flags (the router has no index
+	// to attach them to; the replica opens each snapshot with the saved
+	// tier sidecars and no cache).
 	if cfg.clusterPath != "" || cfg.replicaOf != "" {
 		if cfg.clusterPath != "" && cfg.replicaOf != "" {
 			return cfg, fmt.Errorf("-cluster and -replica-of are exclusive serving modes")
@@ -191,7 +197,8 @@ func parseFlags(args []string, stderr io.Writer) (serveConfig, error) {
 		var conflicts []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "k", "backend", "weighting", "shards", "index", "wal-dir", "checkpoint-every", "save-cluster":
+			case "k", "backend", "weighting", "shards", "index", "wal-dir", "checkpoint-every", "save-cluster",
+				"cache-mb", "ann-nlist", "ann-nprobe", "quant-beta":
 				conflicts = append(conflicts, "-"+f.Name)
 			case "data-dir":
 				if cfg.replicaOf == "" {
@@ -203,7 +210,7 @@ func parseFlags(args []string, stderr io.Writer) (serveConfig, error) {
 			conflicts = append(conflicts, "file arguments")
 		}
 		if len(conflicts) > 0 {
-			return cfg, fmt.Errorf("%s serves no local index; %s cannot apply", mode, strings.Join(conflicts, ", "))
+			return cfg, fmt.Errorf("%s builds no index of its own; %s cannot apply", mode, strings.Join(conflicts, ", "))
 		}
 	}
 	if cfg.checkpointEvery > 0 && cfg.walDir == "" {

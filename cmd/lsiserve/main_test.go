@@ -59,7 +59,7 @@ func TestEndToEndServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sr httpapi.SearchResponse
+	var sr retrieval.SearchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestEndToEndServeSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sr httpapi.SearchResponse
+	var sr retrieval.SearchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}

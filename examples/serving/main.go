@@ -83,7 +83,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var sr httpapi.SearchResponse
+	var sr retrieval.SearchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		log.Fatal(err)
 	}

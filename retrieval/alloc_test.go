@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/race"
 )
 
@@ -41,13 +42,15 @@ func TestTextSearchAllocsIndependentOfCorpusSize(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
+	prev := par.SetMaxProcs(1)
+	t.Cleanup(func() { par.SetMaxProcs(prev) })
 	ctx := context.Background()
 	const query = "galaxy telescope engine"
 	for _, backend := range []Backend{BackendLSI, BackendVSM} {
 		t.Run(backend.String(), func(t *testing.T) {
 			measure := func(numDocs int) float64 {
 				ix, err := BuildTexts(synthTexts(numDocs, 7331),
-					WithBackend(backend), WithRank(3), WithEngine(EngineDense), WithParallelism(1))
+					WithBackend(backend), WithRank(3), WithEngine(EngineDense))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +75,7 @@ func TestTextSearchAllocsIndependentOfCorpusSize(t *testing.T) {
 }
 
 func TestSearchVectorMatchesSparseTextPath(t *testing.T) {
-	// The dense SearchVector path and the sparse text path must agree
+	// The dense vector request and the sparse text path must agree
 	// bitwise — same ranking, same scores — for both backends.
 	ctx := context.Background()
 	for _, backend := range []Backend{BackendLSI, BackendVSM} {
@@ -94,10 +97,11 @@ func TestSearchVectorMatchesSparseTextPath(t *testing.T) {
 				for i, term := range terms {
 					dense[term] = weights[i]
 				}
-				fromVec, err := ix.SearchVector(ctx, dense, 5)
+				resp, err := ix.Query(ctx, SearchRequest{Vector: dense, TopN: 5})
 				if err != nil {
 					t.Fatal(err)
 				}
+				fromVec := resp.Results
 				if len(fromText) != len(fromVec) {
 					t.Fatalf("%q: %d vs %d results", query, len(fromText), len(fromVec))
 				}

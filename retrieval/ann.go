@@ -54,59 +54,15 @@ func (ix *Index) attachTiers(cfg config) error {
 	return nil
 }
 
-// probeOptions is the tier routing of a per-request probe budget:
-// nprobe > 0 probes that many cells per quantizer, composing with the
-// configured quantized tier; nprobe <= 0 is the fully exact scan.
-func (ix *Index) probeOptions(nprobe int) segment.ProbeOptions {
-	if nprobe <= 0 {
-		return segment.ProbeOptions{}
-	}
-	return segment.ProbeOptions{NProbe: nprobe, Beta: ix.quantBeta}
-}
-
 // SearchProbe is Search with a per-request probe budget overriding the
-// configured default: nprobe > 0 scores only that many cells per
-// quantizer (clamped to nlist; nprobe >= nlist probes every cell) while
-// keeping the configured quantized rerank, and nprobe <= 0 forces the
-// fully exact scan — float64 kernels over every document, the
-// per-request escape hatch for both tiers. Indexes without an ANN tier
-// serve every budget through whatever tiers they do have. SearchProbe
-// bypasses the query cache: cache keys assume the configured default
-// budget, and a per-request override must not poison them.
+// configured default (see SearchRequest.NProbe); nprobe <= 0 forces the
+// fully exact scan. It bypasses the query cache: cache keys assume the
+// configured default budget, and a per-request override must not poison
+// them.
 func (ix *Index) SearchProbe(ctx context.Context, query string, topN, nprobe int) ([]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if ix.vocab == nil {
-		return nil, ErrNoVocabulary
-	}
-	terms, weights, known := ix.querySparse(query)
-	if known == 0 {
-		return nil, fmt.Errorf("%w: %q", ErrNoQueryTerms, query)
-	}
-	res := ix.search(terms, weights, topN, ix.probeOptions(nprobe))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// SearchVectorProbe is SearchVector with a per-request probe budget; the
-// budget semantics are those of SearchProbe. The vector length must
-// equal NumTerms.
-func (ix *Index) SearchVectorProbe(ctx context.Context, q []float64, topN, nprobe int) ([]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(q) != ix.NumTerms() {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrVectorLength, len(q), ix.NumTerms())
-	}
-	terms, weights := sparseVector(q)
-	res := ix.search(terms, weights, topN, ix.probeOptions(nprobe))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	nprobe = max(nprobe, 0)
+	resp, err := ix.Query(ctx, SearchRequest{Query: query, TopN: topN, NProbe: &nprobe})
+	return resp.Results, err
 }
 
 // ANNStats describes the IVF ANN tier of an index built or opened with

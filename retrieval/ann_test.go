@@ -143,24 +143,27 @@ func TestSearchProbeErrorContracts(t *testing.T) {
 	if _, err := ann.SearchProbe(ctx, "zzzunknownzzz", 3, 2); !errors.Is(err, ErrNoQueryTerms) {
 		t.Fatalf("unknown-vocabulary probe = %v, want ErrNoQueryTerms", err)
 	}
-	if _, err := ann.SearchVectorProbe(ctx, make([]float64, ann.NumTerms()+3), 3, 2); !errors.Is(err, ErrVectorLength) {
+	two := 2
+	if _, err := ann.Query(ctx, SearchRequest{Vector: make([]float64, ann.NumTerms()+3), TopN: 3, NProbe: &two}); !errors.Is(err, ErrVectorLength) {
 		t.Fatalf("wrong-length vector probe = %v, want ErrVectorLength", err)
 	}
 
-	// A full-budget vector probe reproduces SearchVector exactly.
+	// A full-budget vector probe reproduces the default vector search
+	// exactly.
 	q := make([]float64, ann.NumTerms())
 	for i := 0; i < len(q); i += 3 {
 		q[i] = 1
 	}
-	want, err := ann.SearchVector(ctx, q, 5)
+	want, err := ann.Query(ctx, SearchRequest{Vector: q, TopN: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ann.SearchVectorProbe(ctx, q, 5, 99)
+	full := 99
+	got, err := ann.Query(ctx, SearchRequest{Vector: q, TopN: 5, NProbe: &full})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResults(t, got, want, "vector full probe")
+	sameResults(t, got.Results, want.Results, "vector full probe")
 }
 
 func TestANNOpenTrainsTier(t *testing.T) {

@@ -79,9 +79,6 @@ func Build(docs []Document, opts ...Option) (*Index, error) {
 	if cfg.quantBeta > 0 && cfg.backend != BackendLSI {
 		return nil, errQuantBackend(cfg.backend)
 	}
-	if cfg.workers > 0 {
-		par.SetMaxProcs(cfg.workers)
-	}
 	cw, err := cfg.weighting.toCorpus()
 	if err != nil {
 		return nil, err
@@ -341,45 +338,80 @@ func (ix *Index) search(terms []int, weights []float64, topN int, opts segment.P
 }
 
 // searchSparse is search at the configured default budget: the path of
-// Search, SearchVector, SearchBatch and the query cache.
+// SearchBatch and the query cache.
 func (ix *Index) searchSparse(terms []int, weights []float64, topN int) []Result {
-	return ix.search(terms, weights, topN, segment.ProbeOptions{NProbe: ix.annProbe, Beta: ix.quantBeta})
+	return ix.search(terms, weights, topN, ix.budget(nil))
 }
 
-// Search implements Retriever: it preprocesses the query with the
-// index's pipeline, folds it into the backend's space, and returns the
-// topN documents by cosine similarity (all documents if topN <= 0).
-// With WithQueryCache, repeated queries are answered from the epoch-
-// keyed result cache (see SearchStatus for the per-lookup disposition);
-// results are identical either way.
+// budget maps a request's probe budget to the tier options of one
+// search: nil is the configured default, 0 the fully exact scan, and
+// n > 0 probes n cells per quantizer, keeping the configured quantized
+// rerank.
+func (ix *Index) budget(nprobe *int) segment.ProbeOptions {
+	switch {
+	case nprobe == nil:
+		return segment.ProbeOptions{NProbe: ix.annProbe, Beta: ix.quantBeta}
+	case *nprobe == 0:
+		return segment.ProbeOptions{}
+	}
+	return segment.ProbeOptions{NProbe: *nprobe, Beta: ix.quantBeta}
+}
+
+// Query implements Retriever and is the one implementation of a single
+// search; Search, SearchStatus and SearchProbe wrap it. A text query is
+// preprocessed with the index's pipeline (ErrNoVocabulary without a
+// vocabulary, ErrNoQueryTerms when no term is known); a vector must
+// have NumTerms entries (ErrVectorLength). The query cache (see
+// WithQueryCache) serves only text queries at the default budget — its
+// keys assume that budget — and resp.Cache reports its disposition.
 //
 // Cancellation is honored at query boundaries: ctx is checked before the
 // search and again after it, so work that outlives its deadline reports
 // the deadline error rather than stale results — but an in-flight
 // backend scan is not interrupted mid-kernel.
-func (ix *Index) Search(ctx context.Context, query string, topN int) ([]Result, error) {
-	res, _, err := ix.SearchStatus(ctx, query, topN)
-	return res, err
+func (ix *Index) Query(ctx context.Context, req SearchRequest) (SearchResponse, error) {
+	if err := ctx.Err(); err != nil {
+		return SearchResponse{}, err
+	}
+	if err := req.Validate(); err != nil {
+		return SearchResponse{}, err
+	}
+	text := len(req.Vector) == 0
+	var terms []int
+	var weights []float64
+	if text {
+		if ix.vocab == nil {
+			return SearchResponse{}, ErrNoVocabulary
+		}
+		var known int
+		if terms, weights, known = ix.querySparse(req.Query); known == 0 {
+			return SearchResponse{}, fmt.Errorf("%w: %q", ErrNoQueryTerms, req.Query)
+		}
+	} else {
+		if len(req.Vector) != ix.NumTerms() {
+			return SearchResponse{}, fmt.Errorf("%w: got %d, want %d", ErrVectorLength, len(req.Vector), ix.NumTerms())
+		}
+		terms, weights = sparseVector(req.Vector)
+	}
+	var resp SearchResponse
+	if text && req.NProbe == nil && ix.qc != nil {
+		resp.Results, resp.Cache = ix.qc.search(terms, weights, req.TopN, ix.searchSparse)
+	} else {
+		resp.Results = ix.search(terms, weights, req.TopN, ix.budget(req.NProbe))
+	}
+	if err := ctx.Err(); err != nil {
+		return SearchResponse{}, err
+	}
+	return resp, nil
 }
 
-// SearchVector ranks documents against a raw term-space query vector (for
-// callers that build vectors themselves, e.g. from corpus-model
-// documents). The vector length must equal NumTerms; a mismatch returns
-// an error wrapping ErrVectorLength instead of panicking like the
-// internal fast-paths.
-func (ix *Index) SearchVector(ctx context.Context, q []float64, topN int) ([]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(q) != ix.NumTerms() {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrVectorLength, len(q), ix.NumTerms())
-	}
-	terms, weights := sparseVector(q)
-	res := ix.searchSparse(terms, weights, topN)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
+// Search is Query for a text query at the configured default budget: it
+// returns the topN documents by cosine similarity (all documents if
+// topN <= 0). With WithQueryCache, repeated queries are answered from the
+// epoch-keyed result cache; results are identical either way.
+func (ix *Index) Search(ctx context.Context, query string, topN int) ([]Result, error) {
+	resp, err := ix.Query(ctx, SearchRequest{Query: query, TopN: topN})
+	return resp.Results, err
 }
 
 // sparseVector converts a dense term-space query to the sparse form every

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/par"
 	"repro/retrieval/cache"
 )
 
@@ -36,7 +37,9 @@ func benchCachedIndex(b *testing.B, cacheBytes int64) *Index {
 		}
 		texts[i] = s
 	}
-	opts := []Option{WithRank(10), WithParallelism(1), WithStemming(false), WithStopwordRemoval(false)}
+	prev := par.SetMaxProcs(1)
+	b.Cleanup(func() { par.SetMaxProcs(prev) })
+	opts := []Option{WithRank(10), WithStemming(false), WithStopwordRemoval(false)}
 	if cacheBytes > 0 {
 		opts = append(opts, WithQueryCache(cacheBytes))
 	}
@@ -60,13 +63,13 @@ func benchQueryTerms(ix *Index) ([]int, []float64) {
 func BenchmarkCachedQueryHit(b *testing.B) {
 	ix := benchCachedIndex(b, 1<<20)
 	terms, weights := benchQueryTerms(ix)
-	if _, st := ix.searchSparseStatus(terms, weights, 10); st != cache.StatusMiss {
+	if _, st := ix.qc.search(terms, weights, 10, ix.searchSparse); st != cache.StatusMiss {
 		b.Fatalf("priming status %v", st)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, st := ix.searchSparseStatus(terms, weights, 10); st != cache.StatusHit {
+		if _, st := ix.qc.search(terms, weights, 10, ix.searchSparse); st != cache.StatusHit {
 			b.Fatalf("status %v, want hit", st)
 		}
 	}
@@ -82,7 +85,7 @@ func BenchmarkCachedQueryMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		weights[0] = 1 + float64(i)
-		if _, st := ix.searchSparseStatus(terms, weights, 10); st != cache.StatusMiss {
+		if _, st := ix.qc.search(terms, weights, 10, ix.searchSparse); st != cache.StatusMiss {
 			b.Fatalf("status %v, want miss", st)
 		}
 	}
@@ -107,7 +110,7 @@ func BenchmarkCachedQueryCoalesced(b *testing.B) {
 			// coalesce; Add advances the round every 16 lookups.
 			r := round.Add(1) / 16
 			w[0] = 1 + float64(r)
-			ix.searchSparseStatus(terms, w, 10)
+			ix.qc.search(terms, w, 10, ix.searchSparse)
 		}
 	})
 	b.StopTimer()
@@ -156,7 +159,7 @@ func BenchmarkCachedQueryZipfian(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		query := qs[trace[i%traceLen]]
-		ix.searchSparseStatus(query.terms, query.weights, 10)
+		ix.qc.search(query.terms, query.weights, 10, ix.searchSparse)
 	}
 	b.StopTimer()
 	after, _ := ix.CacheStats()
@@ -176,6 +179,6 @@ func BenchmarkCachedQueryUncachedBaseline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.searchSparseStatus(terms, weights, 10)
+		ix.qc.search(terms, weights, 10, ix.searchSparse)
 	}
 }

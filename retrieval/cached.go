@@ -2,7 +2,6 @@ package retrieval
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"repro/retrieval/cache"
@@ -108,15 +107,6 @@ func (q *queryCache) search(terms []int, weights []float64, topN int, raw func([
 	return copyResults(res), st
 }
 
-// searchSparseStatus is searchSparse through the cache when one is
-// attached, reporting the lookup's disposition.
-func (ix *Index) searchSparseStatus(terms []int, weights []float64, topN int) ([]Result, cache.Status) {
-	if ix.qc == nil {
-		return ix.searchSparse(terms, weights, topN), cache.StatusBypass
-	}
-	return ix.qc.search(terms, weights, topN, ix.searchSparse)
-}
-
 // SearchStatus is Search plus the cache disposition of the lookup:
 // StatusHit or StatusCoalesced when the result came from (or was shared
 // with) the query cache, StatusMiss when it was computed and considered
@@ -126,21 +116,8 @@ func (ix *Index) searchSparseStatus(terms []int, weights []float64, topN int) ([
 // keyed by normalized query, topN, and index epoch, so a hit can never
 // serve results from before a live index's last Add or Compact.
 func (ix *Index) SearchStatus(ctx context.Context, query string, topN int) ([]Result, cache.Status, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, cache.StatusBypass, err
-	}
-	if ix.vocab == nil {
-		return nil, cache.StatusBypass, ErrNoVocabulary
-	}
-	terms, weights, known := ix.querySparse(query)
-	if known == 0 {
-		return nil, cache.StatusBypass, fmt.Errorf("%w: %q", ErrNoQueryTerms, query)
-	}
-	res, st := ix.searchSparseStatus(terms, weights, topN)
-	if err := ctx.Err(); err != nil {
-		return nil, st, err
-	}
-	return res, st, nil
+	resp, err := ix.Query(ctx, SearchRequest{Query: query, TopN: topN})
+	return resp.Results, resp.Cache, err
 }
 
 // CacheStats reports the query cache's counters; ok is false when the

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/race"
 	"repro/retrieval/cache"
 )
@@ -242,7 +243,9 @@ func TestCacheHitAllocsAtMostOne(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	ix, err := Build(DemoCorpus(), WithRank(3), WithEngine(EngineDense), WithQueryCache(1<<20), WithParallelism(1))
+	prev := par.SetMaxProcs(1)
+	t.Cleanup(func() { par.SetMaxProcs(prev) })
+	ix, err := Build(DemoCorpus(), WithRank(3), WithEngine(EngineDense), WithQueryCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,9 +255,9 @@ func TestCacheHitAllocsAtMostOne(t *testing.T) {
 	}
 	// Prime, then pin: a steady-state hit allocates exactly the returned
 	// copy — nothing for the key, the lookup, or the LRU touch.
-	ix.searchSparseStatus(terms, weights, 5)
+	ix.qc.search(terms, weights, 5, ix.searchSparse)
 	allocs := testing.AllocsPerRun(200, func() {
-		res, st := ix.searchSparseStatus(terms, weights, 5)
+		res, st := ix.qc.search(terms, weights, 5, ix.searchSparse)
 		if st != cache.StatusHit {
 			t.Fatalf("status %v, want hit", st)
 		}

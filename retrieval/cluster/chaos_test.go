@@ -121,7 +121,7 @@ func TestChaosFlappingNodeBreakerTripsAndRecovers(t *testing.T) {
 	}
 	assertServes := func(phase string) {
 		t.Helper()
-		got, partial, err := mp.router.SearchPartial(ctx, "car engine", 8)
+		got, partial, err := search(ctx, mp.router, "car engine", 8)
 		if err != nil || partial {
 			t.Fatalf("%s: partial=%v err=%v", phase, partial, err)
 		}
@@ -183,7 +183,7 @@ func TestChaosCanceledProbeReleasesBreaker(t *testing.T) {
 	// cooldown elapse: the next request is the half-open probe.
 	ft.SetRules(&faultinject.Rule{Host: mp.priHost, Err: errors.New("chaos: flap")})
 	for i := 0; i < 3; i++ {
-		if _, _, err := mp.router.SearchPartial(ctx, "car engine", 8); err != nil {
+		if _, _, err := search(ctx, mp.router, "car engine", 8); err != nil {
 			t.Fatalf("query %d during flap: %v", i, err)
 		}
 	}
@@ -198,7 +198,7 @@ func TestChaosCanceledProbeReleasesBreaker(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, partial, err := mp.router.SearchPartial(ctx, "car engine", 8)
+		_, partial, err := search(ctx, mp.router, "car engine", 8)
 		if err == nil && partial {
 			err = errors.New("hedged answer marked partial")
 		}
@@ -220,7 +220,7 @@ func TestChaosCanceledProbeReleasesBreaker(t *testing.T) {
 	// that reaches the primary re-closes the breaker.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		got, partial, err := mp.router.SearchPartial(ctx, "car engine", 8)
+		got, partial, err := search(ctx, mp.router, "car engine", 8)
 		if err != nil || partial {
 			t.Fatalf("healed pair answered partial=%v err=%v", partial, err)
 		}
@@ -254,7 +254,7 @@ func TestChaosPartitionMarksPartial(t *testing.T) {
 
 	ft.SetRules(&faultinject.Rule{Host: hostOf(t, tc.servers[1].URL), Drop: true})
 	start := time.Now()
-	res, partial, err := router.SearchPartial(ctx, "car engine", 10)
+	res, partial, err := search(ctx, router, "car engine", 10)
 	if err != nil {
 		t.Fatalf("partitioned search errored: %v", err)
 	}
@@ -283,7 +283,7 @@ func TestChaosPartitionMarksPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, partial, err := router.SearchPartial(ctx, "car engine", 10)
+	got, partial, err := search(ctx, router, "car engine", 10)
 	if err != nil || partial {
 		t.Fatalf("healed search: partial=%v err=%v", partial, err)
 	}
@@ -401,7 +401,7 @@ func TestChaosSlowNodeHedgesDeterministically(t *testing.T) {
 	}
 	done := make(chan answer, 1)
 	go func() {
-		res, partial, err := mp.router.SearchPartial(ctx, "stars and galaxies", 8)
+		res, partial, err := search(ctx, mp.router, "stars and galaxies", 8)
 		done <- answer{res, partial, err}
 	}()
 	// Two timers must be pending: the router's hedge timer and the
@@ -440,7 +440,7 @@ func TestChaosProbeEjectionReordersCandidates(t *testing.T) {
 	}
 	// Ejection is advisory: the search never touches the (healthy)
 	// primary's request path, and still answers in full.
-	if _, partial, err := mp.router.SearchPartial(ctx, "car engine", 5); err != nil || partial {
+	if _, partial, err := search(ctx, mp.router, "car engine", 5); err != nil || partial {
 		t.Fatalf("search with ejected primary: partial=%v err=%v", partial, err)
 	}
 
@@ -475,7 +475,7 @@ func TestRouterReloadRaceWithTraffic(t *testing.T) {
 					return
 				default:
 				}
-				got, partial, err := tc.router.SearchPartial(ctx, "car engine", 10)
+				got, partial, err := search(ctx, tc.router, "car engine", 10)
 				if err != nil || partial {
 					t.Errorf("query during reloads: partial=%v err=%v", partial, err)
 					return
@@ -535,7 +535,7 @@ func TestRouterBreakerMetricsExposition(t *testing.T) {
 		&faultinject.Rule{Host: mp.priHost, Err: errors.New("chaos: down")},
 	)
 	for i := 0; i < 4; i++ {
-		if _, _, err := mp.router.SearchPartial(ctx, "car engine", 5); err != nil {
+		if _, _, err := search(ctx, mp.router, "car engine", 5); err != nil {
 			t.Fatalf("query %d during incident: %v", i, err)
 		}
 	}

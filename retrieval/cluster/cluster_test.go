@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -94,13 +95,37 @@ func sameResults(t *testing.T, got, want []retrieval.Result, context string) {
 	}
 }
 
+// search runs one text query through the router's Query.
+func search(ctx context.Context, r *cluster.Router, q string, topN int) ([]retrieval.Result, bool, error) {
+	resp, err := r.Query(ctx, retrieval.SearchRequest{Query: q, TopN: topN})
+	return resp.Results, resp.Partial, err
+}
+
 var testQueries = []string{
 	"car engine", "stars and galaxies", "fresh tomatoes", "car", "space telescope engine",
 }
 
+// requestForms are the non-default request shapes every retriever
+// takes: a text query at the exact budget, and raw term-space vectors
+// (at the default and the exact budget) over an index with numTerms
+// terms.
+func requestForms(numTerms, topN int) map[string]retrieval.SearchRequest {
+	exact := 0
+	vec := make([]float64, numTerms)
+	for i := 0; i < numTerms; i += 4 {
+		vec[i] = float64(1 + i%3)
+	}
+	return map[string]retrieval.SearchRequest{
+		"text nprobe 0":   {Query: "car engine", TopN: topN, NProbe: &exact},
+		"vector":          {Vector: vec, TopN: topN},
+		"vector nprobe 0": {Vector: vec, TopN: topN, NProbe: &exact},
+	}
+}
+
 // TestRouterMergeBitwise: the router's fan-out merge over per-shard
 // nodes — JSON round trip and all — is bit-for-bit the single-process
-// sharded index's answer, for single and batch searches.
+// sharded index's answer, for single and batch searches, text and
+// vector requests, and the exact probe budget.
 func TestRouterMergeBitwise(t *testing.T) {
 	tc := startCluster(t, 31, 3)
 	ctx := context.Background()
@@ -109,11 +134,25 @@ func TestRouterMergeBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, partial, err := tc.router.SearchPartial(ctx, q, 10)
+		got, partial, err := search(ctx, tc.router, q, 10)
 		if err != nil || partial {
 			t.Fatalf("router search %q: partial=%v err=%v", q, partial, err)
 		}
 		sameResults(t, got, want, "query "+q)
+	}
+	for name, req := range requestForms(tc.central.NumTerms(), 10) {
+		want, err := tc.central.Query(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tc.router.Query(ctx, req)
+		if err != nil || got.Partial {
+			t.Fatalf("router %s: partial=%v err=%v", name, got.Partial, err)
+		}
+		if len(want.Results) == 0 {
+			t.Fatalf("%s: central index returned nothing", name)
+		}
+		sameResults(t, got.Results, want.Results, name)
 	}
 
 	wantB, err := tc.central.SearchBatch(ctx, testQueries, 7)
@@ -130,8 +169,36 @@ func TestRouterMergeBitwise(t *testing.T) {
 
 	// A query with no in-vocabulary terms is a clean empty answer, as it
 	// is on the nodes.
-	if res, partial, err := tc.router.SearchPartial(ctx, "zzzz qqqq", 5); err != nil || partial || len(res) != 0 {
+	if res, partial, err := search(ctx, tc.router, "zzzz qqqq", 5); err != nil || partial || len(res) != 0 {
 		t.Fatalf("unknown-vocabulary query: %d results, partial=%v, err=%v", len(res), partial, err)
+	}
+}
+
+// TestRouterRejectsMalformedRequests: a request of the wrong shape
+// fails before any fan-out, and one every node rejects as malformed (a
+// vector of the wrong length) is the client's error — 400 through the
+// router's handler, not a 500 "no shard reachable".
+func TestRouterRejectsMalformedRequests(t *testing.T) {
+	tc := startCluster(t, 20, 2)
+	ctx := context.Background()
+	neg := -1
+	for name, req := range map[string]retrieval.SearchRequest{
+		"neither query nor vector": {TopN: 3},
+		"negative nprobe":          {Query: "car", NProbe: &neg},
+		"short vector":             {Vector: []float64{1, 2}, TopN: 3},
+	} {
+		if _, err := tc.router.Query(ctx, req); !errors.Is(err, retrieval.ErrInvalidRequest) {
+			t.Errorf("%s: err = %v, want ErrInvalidRequest", name, err)
+		}
+	}
+	if st := tc.router.RouterStats(); st.Partials != 0 {
+		t.Fatalf("malformed requests counted as degraded answers: %+v", st)
+	}
+	h := httpapi.NewHandler(tc.router, httpapi.Options{})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/search", strings.NewReader(`{"vector":[1,2],"topN":3}`)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "vector length") {
+		t.Fatalf("short vector through the router handler: %d %s, want 400", rec.Code, rec.Body)
 	}
 }
 
@@ -178,7 +245,7 @@ func TestRouterIngestRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, partial, err := tc.router.SearchPartial(ctx, q, 10)
+		got, partial, err := search(ctx, tc.router, q, 10)
 		if err != nil || partial {
 			t.Fatalf("router search %q after adds: partial=%v err=%v", q, partial, err)
 		}
@@ -194,7 +261,7 @@ func TestRouterPartialResults(t *testing.T) {
 	ctx := context.Background()
 	tc.servers[1].Close()
 
-	res, partial, err := tc.router.SearchPartial(ctx, "car engine", 10)
+	res, partial, err := search(ctx, tc.router, "car engine", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +281,7 @@ func TestRouterPartialResults(t *testing.T) {
 	}
 
 	tc.servers[0].Close()
-	if _, _, err := tc.router.SearchPartial(ctx, "car engine", 10); err == nil {
+	if _, _, err := search(ctx, tc.router, "car engine", 10); err == nil {
 		t.Fatal("whole cluster down: search succeeded")
 	}
 }

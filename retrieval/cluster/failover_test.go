@@ -1,7 +1,9 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
@@ -103,7 +105,7 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 					default:
 					}
 					q := testQueries[(w+i)%len(testQueries)]
-					res, _, err := router.SearchPartial(ctx, q, 10)
+					res, _, err := search(ctx, router, q, 10)
 					if err != nil {
 						t.Errorf("query %q failed during failover: %v", q, err)
 						return
@@ -171,7 +173,7 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, partial, err := router.SearchPartial(ctx, q, 10)
+		got, partial, err := search(ctx, router, q, 10)
 		if err != nil || partial {
 			t.Fatalf("post-rejoin %q: partial=%v err=%v", q, partial, err)
 		}
@@ -237,7 +239,7 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, partial, err := router.SearchPartial(ctx, q, 10)
+		got, partial, err := search(ctx, router, q, 10)
 		if err != nil || partial {
 			t.Fatalf("final %q: partial=%v err=%v", q, partial, err)
 		}
@@ -246,7 +248,8 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 }
 
 // TestReplicaServesBitwise: a bootstrapped replica answers text
-// queries bit-for-bit like its primary.
+// queries, exact-budget and vector requests bit-for-bit like its
+// primary.
 func TestReplicaServesBitwise(t *testing.T) {
 	tc := startCluster(t, 18, 2)
 	ctx := context.Background()
@@ -262,15 +265,59 @@ func TestReplicaServesBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rep.Search(ctx, q, 8)
+		got, err := rep.Query(ctx, retrieval.SearchRequest{Query: q, TopN: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResults(t, got, want, "replica query "+q)
+		sameResults(t, got.Results, want, "replica query "+q)
+	}
+	for name, req := range requestForms(tc.nodes[0].NumTerms(), 8) {
+		want, err := tc.nodes[0].Query(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rep.Query(ctx, req)
+		if err != nil {
+			t.Fatalf("replica %s: %v", name, err)
+		}
+		sameResults(t, got.Results, want.Results, "replica "+name)
 	}
 	st := rep.ReplicaStats()
 	if st.Snapshots != 1 {
 		t.Fatalf("bootstrap took %d snapshots, want 1", st.Snapshots)
+	}
+}
+
+// TestReplicaHandlerServesEveryRequestForm: over HTTP, a replica node
+// answers the vector and exact-budget requests its primary serves (200,
+// the primary's results), not only plain text queries.
+func TestReplicaHandlerServesEveryRequestForm(t *testing.T) {
+	tc := startCluster(t, 18, 2)
+	ctx := context.Background()
+	rep := cluster.NewReplica(tc.servers[0].URL, t.TempDir(), cluster.ReplicaOptions{})
+	if err := rep.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	h := httpapi.NewHandler(rep, httpapi.Options{})
+	for name, req := range requestForms(tc.nodes[0].NumTerms(), 5) {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/search", bytes.NewReader(body)))
+		if rec.Code != 200 {
+			t.Fatalf("replica %s: status %d: %s", name, rec.Code, rec.Body)
+		}
+		var got retrieval.SearchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		want, err := tc.nodes[0].Query(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, got.Results, want.Results, "replica handler "+name)
 	}
 }
 

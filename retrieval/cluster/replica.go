@@ -398,13 +398,13 @@ func (r *Replica) Index() *retrieval.Index { return r.cur.Load() }
 
 var errNotBootstrapped = fmt.Errorf("cluster: replica: not bootstrapped")
 
-// Search implements retrieval.Retriever against the current snapshot.
-func (r *Replica) Search(ctx context.Context, query string, topN int) ([]retrieval.Result, error) {
+// Query implements retrieval.Retriever against the current snapshot.
+func (r *Replica) Query(ctx context.Context, req retrieval.SearchRequest) (retrieval.SearchResponse, error) {
 	ix := r.cur.Load()
 	if ix == nil {
-		return nil, errNotBootstrapped
+		return retrieval.SearchResponse{}, errNotBootstrapped
 	}
-	return ix.Search(ctx, query, topN)
+	return ix.Query(ctx, req)
 }
 
 // SearchBatch implements retrieval.Retriever.

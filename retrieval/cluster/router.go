@@ -415,10 +415,12 @@ type shardResults struct {
 	lastErr error
 }
 
-// fanout runs one batch of queries against every shard concurrently
-// and returns the per-shard outcomes. Queries and merge stay strictly
-// deterministic; only availability varies.
-func (r *Router) fanout(ctx context.Context, queries []string, topN int) ([]shardResults, *manifestState) {
+// fanout runs one call against every shard concurrently — hedged
+// across the shard's candidate nodes — and returns the per-shard
+// outcomes, each holding one result list per query the call carries.
+// Queries and merge stay strictly deterministic; only availability
+// varies.
+func (r *Router) fanout(ctx context.Context, call func(context.Context, Node) ([][]retrieval.Result, error)) ([]shardResults, *manifestState) {
 	ms := r.man.Load()
 	S := ms.man.Shards
 	out := make([]shardResults, S)
@@ -429,23 +431,7 @@ func (r *Router) fanout(ctx context.Context, queries []string, topN int) ([]shar
 			defer wg.Done()
 			// The health view orders candidates (outliers last) before
 			// hedging walks them.
-			perQ, err := hedged(r, ctx, r.orderCandidates(ms.byShard[s]), func(ctx context.Context, node Node) ([][]retrieval.Result, error) {
-				if len(queries) == 1 {
-					var resp httpapi.SearchResponse
-					if err := r.do(ctx, node, "/v1/search", httpapi.SearchRequest{Query: queries[0], TopN: topN}, &resp); err != nil {
-						return nil, err
-					}
-					return [][]retrieval.Result{resp.Results}, nil
-				}
-				var resp httpapi.BatchSearchResponse
-				if err := r.do(ctx, node, "/v1/search:batch", httpapi.BatchSearchRequest{Queries: queries, TopN: topN}, &resp); err != nil {
-					return nil, err
-				}
-				if len(resp.Results) != len(queries) {
-					return nil, fmt.Errorf("cluster: node %q answered %d of %d queries", node.Name, len(resp.Results), len(queries))
-				}
-				return resp.Results, nil
-			})
+			perQ, err := hedged(r, ctx, r.orderCandidates(ms.byShard[s]), call)
 			out[s] = shardResults{shard: s, perQ: perQ, failed: err != nil, lastErr: err}
 		}(s)
 	}
@@ -487,20 +473,25 @@ func mergeQuery(parts []shardResults, q, topN, S int) []retrieval.Result {
 // allFailedErr shapes the no-shard-reachable error. When the decisive
 // failure was a shed, it propagates as httpapi.ShedError, so the
 // router's client receives the nodes' 429/503 and Retry-After hint
-// instead of a flattened 500 — backpressure survives the router hop.
+// instead of a flattened 500 — backpressure survives the router hop. A
+// request the nodes rejected as malformed (400, e.g. a vector of the
+// wrong length) is the client's error, not an outage.
 func allFailedErr(lastErr error) error {
 	if nse := shedOf(lastErr); nse != nil {
 		return &httpapi.ShedError{StatusCode: nse.code, RetryAfter: nse.retryAfter, Msg: nse.Error()}
 	}
+	var nse *nodeStatusError
+	if errors.As(lastErr, &nse) && nse.code == http.StatusBadRequest {
+		return fmt.Errorf("%w: %s", retrieval.ErrInvalidRequest, nse.msg)
+	}
 	return fmt.Errorf("cluster: no shard reachable: %w", lastErr)
 }
 
-// SearchPartial fans one query across the cluster. partial reports a
-// degraded quorum: at least one shard answered and at least one did
-// not, so the results are a correct merge of the shards that did.
-// When no shard answers, the error of the last failure is returned.
-func (r *Router) SearchPartial(ctx context.Context, query string, topN int) ([]retrieval.Result, bool, error) {
-	parts, ms := r.fanout(ctx, []string{query}, topN)
+// quorum judges a fan-out: partial reports a degraded quorum (at least
+// one shard answered and at least one did not, so the results are a
+// correct merge of the shards that did, and the answer is counted);
+// when no shard answered, the error of the last failure is returned.
+func (r *Router) quorum(parts []shardResults) (partial bool, err error) {
 	failed := 0
 	var lastErr error
 	for _, p := range parts {
@@ -512,50 +503,58 @@ func (r *Router) SearchPartial(ctx context.Context, query string, topN int) ([]r
 		}
 	}
 	if failed == len(parts) {
-		return nil, false, allFailedErr(lastErr)
+		return false, allFailedErr(lastErr)
 	}
-	partial := failed > 0
-	if partial {
+	if failed > 0 {
 		r.partials.Add(1)
 	}
-	return mergeQuery(parts, 0, topN, ms.man.Shards), partial, nil
+	return failed > 0, nil
 }
 
-// SearchBatchPartial is SearchPartial for a query batch; one fan-out
-// round trip per shard regardless of batch size.
-func (r *Router) SearchBatchPartial(ctx context.Context, queries []string, topN int) ([][]retrieval.Result, bool, error) {
-	parts, ms := r.fanout(ctx, queries, topN)
-	failed := 0
-	var lastErr error
-	for _, p := range parts {
-		if p.failed {
-			failed++
-			if lastErr == nil || shedOf(lastErr) == nil {
-				lastErr = p.lastErr
-			}
+// Query implements retrieval.Retriever: it forwards the request,
+// unchanged, to one node per shard and merges their answers into the
+// single-process order. resp.Partial reports a degraded quorum (the
+// handler surfaces it as X-Partial-Results).
+func (r *Router) Query(ctx context.Context, req retrieval.SearchRequest) (retrieval.SearchResponse, error) {
+	if err := req.Validate(); err != nil {
+		return retrieval.SearchResponse{}, err
+	}
+	parts, ms := r.fanout(ctx, func(ctx context.Context, node Node) ([][]retrieval.Result, error) {
+		var resp retrieval.SearchResponse
+		if err := r.do(ctx, node, "/v1/search", req, &resp); err != nil {
+			return nil, err
 		}
+		return [][]retrieval.Result{resp.Results}, nil
+	})
+	partial, err := r.quorum(parts)
+	if err != nil {
+		return retrieval.SearchResponse{}, err
 	}
-	if failed == len(parts) {
-		return nil, false, allFailedErr(lastErr)
-	}
-	partial := failed > 0
-	if partial {
-		r.partials.Add(1)
+	return retrieval.SearchResponse{Results: mergeQuery(parts, 0, req.TopN, ms.man.Shards), Partial: partial}, nil
+}
+
+// SearchBatchPartial is the batch form of Query, one fan-out round trip
+// per shard regardless of batch size; partial reports a degraded quorum.
+func (r *Router) SearchBatchPartial(ctx context.Context, queries []string, topN int) ([][]retrieval.Result, bool, error) {
+	parts, ms := r.fanout(ctx, func(ctx context.Context, node Node) ([][]retrieval.Result, error) {
+		var resp httpapi.BatchSearchResponse
+		if err := r.do(ctx, node, "/v1/search:batch", httpapi.BatchSearchRequest{Queries: queries, TopN: topN}, &resp); err != nil {
+			return nil, err
+		}
+		if len(resp.Results) != len(queries) {
+			return nil, fmt.Errorf("cluster: node %q answered %d of %d queries", node.Name, len(resp.Results), len(queries))
+		}
+		return resp.Results, nil
+	})
+	partial, err := r.quorum(parts)
+	if err != nil {
+		return nil, false, err
 	}
 	out := make([][]retrieval.Result, len(queries))
 	for q := range queries {
 		out[q] = mergeQuery(parts, q, topN, ms.man.Shards)
 	}
 	return out, partial, nil
-}
-
-// Search implements retrieval.Retriever. Partiality is not visible
-// through this narrow interface; callers that must distinguish a
-// degraded answer use SearchPartial (httpapi does, surfacing the
-// X-Partial-Results header).
-func (r *Router) Search(ctx context.Context, query string, topN int) ([]retrieval.Result, error) {
-	res, _, err := r.SearchPartial(ctx, query, topN)
-	return res, err
 }
 
 // SearchBatch implements retrieval.Retriever.

@@ -36,7 +36,7 @@ func TestSearchNProbe(t *testing.T) {
 	if probed.Code != http.StatusOK {
 		t.Fatalf("nprobe search: %d: %s", probed.Code, probed.Body)
 	}
-	var want, got SearchResponse
+	var want, got retrieval.SearchResponse
 	if err := json.Unmarshal(base.Body.Bytes(), &want); err != nil {
 		t.Fatal(err)
 	}
@@ -69,24 +69,9 @@ func TestSearchNProbe(t *testing.T) {
 	// Vector queries take the budget too.
 	vec := make([]float64, ix.NumTerms())
 	vec[0] = 1
-	body, _ := json.Marshal(SearchRequest{Vector: vec, TopN: 3, NProbe: &[]int{4}[0]})
+	body, _ := json.Marshal(retrieval.SearchRequest{Vector: vec, TopN: 3, NProbe: &[]int{4}[0]})
 	if rec := do(t, h, "POST", "/v1/search", string(body)); rec.Code != http.StatusOK {
 		t.Fatalf("vector nprobe: %d: %s", rec.Code, rec.Body)
-	}
-}
-
-// plainRetriever hides the concrete index behind the bare Retriever
-// interface, so the handler sees no ProbeSearcher capability.
-type plainRetriever struct{ retrieval.Retriever }
-
-func TestSearchNProbeWithoutCapability(t *testing.T) {
-	h := NewHandler(plainRetriever{annIndex(t)}, Options{})
-	rec := do(t, h, "POST", "/v1/search", `{"query":"car","nprobe":2}`)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("nprobe without ProbeSearcher: %d, want 400", rec.Code)
-	}
-	if !strings.Contains(rec.Body.String(), "probe budgets") {
-		t.Fatalf("unexpected error body: %s", rec.Body)
 	}
 }
 

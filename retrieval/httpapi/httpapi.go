@@ -1,10 +1,12 @@
 // Package httpapi exposes a retrieval.Retriever over HTTP/JSON — the
 // handler behind cmd/lsiserve. Endpoints:
 //
-//	POST /v1/search        {"query":"car engine","topN":10} or {"vector":[...],"topN":10};
-//	                       an optional "nprobe" overrides the ANN tier's
-//	                       probe budget for this request (0 = exhaustive;
-//	                       see retrieval.WithANN)
+//	POST /v1/search        {"query":"car engine","topN":10} or {"vector":[...],"topN":10}
+//	                       (retrieval.SearchRequest); an optional "nprobe"
+//	                       overrides the probe budget for this request
+//	                       (0 = the fully exact scan; see retrieval.WithANN).
+//	                       Every retriever — an index, a replica, the
+//	                       cluster router — takes both forms and the budget
 //	POST /v1/search:batch  {"queries":["car","galaxy"],"topN":10}
 //	POST /v1/docs          {"id":"doc-x","text":"..."} — live append (sharded indexes)
 //	POST /v1/docs:batch    {"docs":[{"id":"...","text":"..."}, ...]}
@@ -154,21 +156,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// VectorSearcher is the optional raw-vector query capability; the
-// concrete *retrieval.Index implements it. Handlers reject vector
-// requests with 400 when the retriever does not.
-type VectorSearcher interface {
-	SearchVector(ctx context.Context, q []float64, topN int) ([]retrieval.Result, error)
-}
-
-// StatusSearcher is the optional cache-aware query capability: the
+// StatusSearcher is the optional plain-text query capability: the
 // concrete *retrieval.Index implements it, reporting each text query's
-// cache disposition alongside the results. When the retriever
-// implements it and the lookup touched a cache (status != bypass), the
-// search handler surfaces the disposition as the Cache-Status response
-// header: "hit", "miss", or "coalesced". Results are identical either
-// way — the cache is epoch-keyed, so hits can never predate a live
-// index's last append or compaction.
+// cache disposition alongside the results. A search request with
+// neither "vector" nor "nprobe" goes through it when the retriever has
+// it, so a wrapper of the method sees exactly the plain text searches
+// (the traced run of perfbench/ wraps it to time its retrieval.search
+// span); every other request goes through Retriever.Query. Either way
+// a lookup that touched a cache (status != bypass) is surfaced as the
+// Cache-Status response header: "hit", "miss", or "coalesced".
 type StatusSearcher interface {
 	SearchStatus(ctx context.Context, query string, topN int) ([]retrieval.Result, cache.Status, error)
 }
@@ -197,26 +193,14 @@ type EpochReporter interface {
 	Generation() uint64
 }
 
-// FanoutSearcher is the optional distributed-query capability of the
-// cluster router: searches that may be answered from a degraded quorum
-// report partial=true, which the handler surfaces as the
-// X-Partial-Results response header. When the retriever implements it,
-// text searches prefer it over plain Search.
+// FanoutSearcher is the optional distributed-batch capability of the
+// cluster router: a batch that may be answered from a degraded quorum
+// reports partial=true, which the handler surfaces as the
+// X-Partial-Results response header (single searches report it in
+// retrieval.SearchResponse.Partial). When the retriever implements it,
+// batch searches prefer it over plain SearchBatch.
 type FanoutSearcher interface {
-	SearchPartial(ctx context.Context, query string, topN int) (results []retrieval.Result, partial bool, err error)
 	SearchBatchPartial(ctx context.Context, queries []string, topN int) (results [][]retrieval.Result, partial bool, err error)
-}
-
-// ProbeSearcher is the optional ANN probe-override capability: the
-// concrete *retrieval.Index implements it (meaningfully when built or
-// opened with retrieval.WithANN; without an ANN tier every budget is
-// served exhaustively). A search request carrying "nprobe" routes
-// through it — bypassing the query cache, whose keys assume the
-// configured default budget. Handlers reject nprobe requests with 400
-// when the retriever lacks the capability (e.g. the cluster router).
-type ProbeSearcher interface {
-	SearchProbe(ctx context.Context, query string, topN, nprobe int) ([]retrieval.Result, error)
-	SearchVectorProbe(ctx context.Context, q []float64, topN, nprobe int) ([]retrieval.Result, error)
 }
 
 // WALTailer is the optional replication catch-up capability behind GET
@@ -225,24 +209,6 @@ type ProbeSearcher interface {
 type WALTailer interface {
 	WALAttached() bool
 	TailWAL(from int) ([]retrieval.Document, error)
-}
-
-// SearchRequest is the body of POST /v1/search. Exactly one of Query and
-// Vector must be set.
-type SearchRequest struct {
-	Query  string    `json:"query,omitempty"`
-	Vector []float64 `json:"vector,omitempty"`
-	TopN   int       `json:"topN,omitempty"`
-	// NProbe, when present, overrides the ANN tier's probe budget for
-	// this request: > 0 scores that many cells per quantizer (clamped to
-	// nlist), 0 forces the exhaustive scan. Absent means the configured
-	// default. Requires a ProbeSearcher retriever (400 otherwise).
-	NProbe *int `json:"nprobe,omitempty"`
-}
-
-// SearchResponse is the body of a successful POST /v1/search.
-type SearchResponse struct {
-	Results []retrieval.Result `json:"results"`
 }
 
 // BatchSearchRequest is the body of POST /v1/search:batch.
@@ -448,7 +414,8 @@ func writeSearchError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusGatewayTimeout, "search timed out: %v", err)
 	case errors.Is(err, context.Canceled):
 		writeError(w, http.StatusServiceUnavailable, "request canceled: %v", err)
-	case errors.Is(err, retrieval.ErrVectorLength),
+	case errors.Is(err, retrieval.ErrInvalidRequest),
+		errors.Is(err, retrieval.ErrVectorLength),
 		errors.Is(err, retrieval.ErrNoVocabulary):
 		writeError(w, http.StatusBadRequest, "%v", err)
 	default:
@@ -457,79 +424,50 @@ func writeSearchError(w http.ResponseWriter, err error) {
 }
 
 func (h *handler) search(w http.ResponseWriter, r *http.Request) {
-	var req SearchRequest
+	var req retrieval.SearchRequest
 	if !h.decode(w, r, &req) {
 		return
 	}
-	hasQuery, hasVector := req.Query != "", len(req.Vector) > 0
-	if hasQuery == hasVector {
-		writeError(w, http.StatusBadRequest, "exactly one of \"query\" and \"vector\" must be set")
+	if err := req.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	topN, ok := h.clampTopN(w, req.TopN)
 	if !ok {
 		return
 	}
+	req.TopN = topN
 	ctx, cancel := context.WithTimeout(r.Context(), h.opts.Timeout)
 	defer cancel()
 
-	var results []retrieval.Result
+	var resp retrieval.SearchResponse
 	var err error
-	if req.NProbe != nil {
-		if *req.NProbe < 0 {
-			writeError(w, http.StatusBadRequest, "nprobe must be >= 0, got %d", *req.NProbe)
-			return
-		}
-		ps, ok := h.ret.(ProbeSearcher)
-		if !ok {
-			writeError(w, http.StatusBadRequest, "this index does not accept per-request probe budgets")
-			return
-		}
-		if hasVector {
-			results, err = ps.SearchVectorProbe(ctx, req.Vector, topN, *req.NProbe)
-		} else {
-			results, err = ps.SearchProbe(ctx, req.Query, topN, *req.NProbe)
-			if errors.Is(err, retrieval.ErrNoQueryTerms) {
-				results, err = []retrieval.Result{}, nil
-			}
-		}
-	} else if hasVector {
-		vs, ok := h.ret.(VectorSearcher)
-		if !ok {
-			writeError(w, http.StatusBadRequest, "this index does not accept vector queries")
-			return
-		}
-		results, err = vs.SearchVector(ctx, req.Vector, topN)
+	if ss, ok := h.ret.(StatusSearcher); ok && len(req.Vector) == 0 && req.NProbe == nil {
+		// Kept as its own call so wrappers of SearchStatus (the benchmark's
+		// retrieval.search span) see every plain text search.
+		resp.Results, resp.Cache, err = ss.SearchStatus(ctx, req.Query, topN)
 	} else {
-		if fs, ok := h.ret.(FanoutSearcher); ok {
-			var partial bool
-			results, partial, err = fs.SearchPartial(ctx, req.Query, topN)
-			if partial {
-				w.Header().Set("X-Partial-Results", "true")
-			}
-		} else if ss, ok := h.ret.(StatusSearcher); ok {
-			var st cache.Status
-			results, st, err = ss.SearchStatus(ctx, req.Query, topN)
-			if st != cache.StatusBypass {
-				w.Header().Set("Cache-Status", st.String())
-			}
-		} else {
-			results, err = h.ret.Search(ctx, req.Query, topN)
-		}
-		if errors.Is(err, retrieval.ErrNoQueryTerms) {
-			// A valid query that matches nothing, not a client error.
-			results, err = []retrieval.Result{}, nil
-		}
+		resp, err = h.ret.Query(ctx, req)
+	}
+	if errors.Is(err, retrieval.ErrNoQueryTerms) {
+		// A valid query that matches nothing, not a client error.
+		resp.Results, err = []retrieval.Result{}, nil
 	}
 	if err != nil {
 		writeSearchError(w, err)
 		return
 	}
-	if results == nil {
-		results = []retrieval.Result{}
+	if resp.Results == nil {
+		resp.Results = []retrieval.Result{}
+	}
+	if resp.Cache != cache.StatusBypass {
+		w.Header().Set("Cache-Status", resp.Cache.String())
+	}
+	if resp.Partial {
+		w.Header().Set("X-Partial-Results", "true")
 	}
 	h.indexHeaders(w)
-	writeJSON(w, http.StatusOK, SearchResponse{Results: results})
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (h *handler) searchBatch(w http.ResponseWriter, r *http.Request) {

@@ -39,7 +39,7 @@ func TestHandlerTable(t *testing.T) {
 	h := demoHandler(t, Options{MaxTopN: 5, MaxBatch: 3})
 	ix, _ := retrieval.Build(retrieval.DemoCorpus(), retrieval.WithRank(3))
 	wrongLen := make([]float64, ix.NumTerms()+7)
-	wrongLenBody, _ := json.Marshal(SearchRequest{Vector: wrongLen, TopN: 3})
+	wrongLenBody, _ := json.Marshal(retrieval.SearchRequest{Vector: wrongLen, TopN: 3})
 
 	cases := []struct {
 		name       string
@@ -87,7 +87,7 @@ func TestSearchResultShape(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	var resp SearchResponse
+	var resp retrieval.SearchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSearchResultShape(t *testing.T) {
 func TestTopNClamping(t *testing.T) {
 	h := demoHandler(t, Options{MaxTopN: 2})
 	rec := do(t, h, "POST", "/v1/search", `{"query":"car","topN":50}`)
-	var resp SearchResponse
+	var resp retrieval.SearchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +173,12 @@ func TestVectorSearch(t *testing.T) {
 	h := NewHandler(ix, Options{})
 	vec := make([]float64, ix.NumTerms())
 	vec[0] = 1 // first vocabulary term ("car")
-	body, _ := json.Marshal(SearchRequest{Vector: vec, TopN: 3})
+	body, _ := json.Marshal(retrieval.SearchRequest{Vector: vec, TopN: 3})
 	rec := do(t, h, "POST", "/v1/search", string(body))
 	if rec.Code != 200 {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	var resp SearchResponse
+	var resp retrieval.SearchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -95,14 +95,19 @@ func TestMetricsUncachedUnsharded(t *testing.T) {
 	}
 }
 
-// blockingRet is a Retriever whose Search blocks until released — the
+// blockingRet is a Retriever whose searches block until released — the
 // synthetic overload for the shed tests.
 type blockingRet struct {
-	started chan struct{} // receives one value per Search that began
-	release chan struct{} // each Search consumes one value to finish
+	started chan struct{} // receives one value per search that began
+	release chan struct{} // each search consumes one value to finish
 }
 
-func (b *blockingRet) Search(ctx context.Context, q string, n int) ([]retrieval.Result, error) {
+func (b *blockingRet) Query(ctx context.Context, req retrieval.SearchRequest) (retrieval.SearchResponse, error) {
+	r, err := b.search(ctx)
+	return retrieval.SearchResponse{Results: r}, err
+}
+
+func (b *blockingRet) search(ctx context.Context) ([]retrieval.Result, error) {
 	b.started <- struct{}{}
 	select {
 	case <-b.release:
@@ -115,7 +120,7 @@ func (b *blockingRet) Search(ctx context.Context, q string, n int) ([]retrieval.
 func (b *blockingRet) SearchBatch(ctx context.Context, qs []string, n int) ([][]retrieval.Result, error) {
 	out := make([][]retrieval.Result, len(qs))
 	for i := range qs {
-		r, err := b.Search(ctx, qs[i], n)
+		r, err := b.search(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -268,7 +273,7 @@ func TestDegradationUnderOverload(t *testing.T) {
 				rec := do(t, h, "POST", "/v1/search", `{"query":"car engine","topN":5}`)
 				switch rec.Code {
 				case 200:
-					var resp SearchResponse
+					var resp retrieval.SearchResponse
 					if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 						t.Errorf("accepted search returned malformed JSON: %v", err)
 						continue

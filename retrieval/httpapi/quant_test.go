@@ -64,7 +64,7 @@ func TestQuantizedSearchMatchesExhaustiveOverHTTP(t *testing.T) {
 	if want.Code != http.StatusOK || got.Code != http.StatusOK {
 		t.Fatalf("codes: %d / %d", want.Code, got.Code)
 	}
-	var w, g SearchResponse
+	var w, g retrieval.SearchResponse
 	if err := json.Unmarshal(want.Body.Bytes(), &w); err != nil {
 		t.Fatal(err)
 	}

@@ -187,14 +187,14 @@ func TestIndexHeaders(t *testing.T) {
 	}
 }
 
-// partialRet fakes a cluster router: a FanoutSearcher that reports a
-// degraded quorum.
+// partialRet fakes a cluster router: a Retriever and FanoutSearcher
+// that reports a degraded quorum.
 type partialRet struct {
 	partial bool
 }
 
-func (p *partialRet) Search(ctx context.Context, q string, n int) ([]retrieval.Result, error) {
-	return []retrieval.Result{{Doc: 0, ID: "d", Score: 1}}, nil
+func (p *partialRet) Query(ctx context.Context, req retrieval.SearchRequest) (retrieval.SearchResponse, error) {
+	return retrieval.SearchResponse{Results: []retrieval.Result{{Doc: 0, ID: "d", Score: 1}}, Partial: p.partial}, nil
 }
 
 func (p *partialRet) SearchBatch(ctx context.Context, qs []string, n int) ([][]retrieval.Result, error) {
@@ -203,11 +203,6 @@ func (p *partialRet) SearchBatch(ctx context.Context, qs []string, n int) ([][]r
 		out[i] = []retrieval.Result{{Doc: 0, ID: "d", Score: 1}}
 	}
 	return out, nil
-}
-
-func (p *partialRet) SearchPartial(ctx context.Context, q string, n int) ([]retrieval.Result, bool, error) {
-	r, err := p.Search(ctx, q, n)
-	return r, p.partial, err
 }
 
 func (p *partialRet) SearchBatchPartial(ctx context.Context, qs []string, n int) ([][]retrieval.Result, bool, error) {

@@ -21,8 +21,8 @@ type shedRetriever struct {
 	after  time.Duration
 }
 
-func (s *shedRetriever) Search(ctx context.Context, q string, topN int) ([]retrieval.Result, error) {
-	return nil, &ShedError{StatusCode: s.status, RetryAfter: s.after, Msg: "node shed: compaction debt"}
+func (s *shedRetriever) Query(ctx context.Context, req retrieval.SearchRequest) (retrieval.SearchResponse, error) {
+	return retrieval.SearchResponse{}, &ShedError{StatusCode: s.status, RetryAfter: s.after, Msg: "node shed: compaction debt"}
 }
 
 func (s *shedRetriever) Add(ctx context.Context, docs []retrieval.Document) (int, error) {

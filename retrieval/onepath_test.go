@@ -8,8 +8,8 @@ import (
 	"repro/internal/par"
 )
 
-// The one search path: Search, SearchVector, SearchBatch and SearchProbe
-// all rank through Index.search, so they agree bitwise on every backend
+// The one search path: Query (and its Search, SearchStatus and
+// SearchProbe wrappers) and SearchBatch all rank through Index.search, so they agree bitwise on every backend
 // and tier configuration.
 
 func TestSearchBatchParallelMatchesSearch(t *testing.T) {
@@ -79,19 +79,21 @@ func TestZeroVectorQuery(t *testing.T) {
 					want = append(want, Result{Doc: d, ID: ix.DocID(d)})
 				}
 			}
-			got, err := ix.SearchVector(ctx, zero, topN)
+			resp, err := ix.Query(ctx, SearchRequest{Vector: zero, TopN: topN})
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := resp.Results
 			if got == nil {
 				t.Fatalf("%v topN=%d: nil results, want a non-nil slice", backend, topN)
 			}
 			sameResults(t, got, want, fmt.Sprintf("%v topN=%d", backend, topN))
-			exact, err := ix.SearchVectorProbe(ctx, zero, topN, 0)
+			exactProbe := 0
+			exact, err := ix.Query(ctx, SearchRequest{Vector: zero, TopN: topN, NProbe: &exactProbe})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameResults(t, exact, want, fmt.Sprintf("%v topN=%d exact", backend, topN))
+			sameResults(t, exact.Results, want, fmt.Sprintf("%v topN=%d exact", backend, topN))
 		}
 	}
 }

@@ -148,7 +148,6 @@ type config struct {
 	seed            int64
 	removeStopwords bool
 	stemming        bool
-	workers         int   // 0 = leave the process-wide setting alone
 	shards          int   // 0 = unsharded; >= 1 builds the sharded live index
 	sealEvery       int   // 0 = shard package default
 	cacheBytes      int64 // <= 0 = no query result cache
@@ -235,8 +234,8 @@ func WithAutoCompact(on bool) Option { return func(c *config) { c.autoCompact = 
 // scanning every document — sublinear candidate work on the
 // topic-clustered corpora the paper's model produces. nprobe is the
 // default probe budget: 0 keeps the default search exhaustive while
-// still training quantizers (probe only via SearchProbe's per-request
-// override), and nprobe >= nlist is bitwise-identical to the exhaustive
+// still training quantizers (probe only via a request's NProbe
+// override; see SearchRequest), and nprobe >= nlist is bitwise-identical to the exhaustive
 // scan. On sharded indexes every compacted segment carries its own
 // quantizer, retrained by the compactor at re-SVD time; live fold-in
 // segments always scan exhaustively, so freshly added documents are
@@ -264,8 +263,8 @@ func WithANN(nlist, nprobe int) Option {
 // for any worker count. Composes with WithANN — the IVF probe narrows
 // the candidate set, the int8 kernels score it, exact float rescoring
 // ranks it. Requires the LSI backend; beta <= 0 disables the tier.
-// SearchProbe's nprobe <= 0 remains the per-request fully exact escape
-// hatch.
+// A request's NProbe of 0 (SearchRequest) remains the per-request fully
+// exact escape hatch.
 func WithQuantized(beta int) Option {
 	return func(c *config) { c.quantBeta = beta }
 }
@@ -282,12 +281,6 @@ func WithQuantized(beta int) Option {
 // counters surface in Stats and, via the HTTP API, in /v1/stats and
 // the Cache-Status response header.
 func WithQueryCache(maxBytes int64) Option { return func(c *config) { c.cacheBytes = maxBytes } }
-
-// WithParallelism caps the worker count used by the parallel build and
-// query kernels. The setting is process-wide (it adjusts the shared
-// worker pool that all indexes fan out through), applied when Build runs;
-// n <= 0 leaves the current setting alone.
-func WithParallelism(n int) Option { return func(c *config) { c.workers = n } }
 
 func autoRank(numTerms, numDocs int) int {
 	k := min(numTerms, numDocs) / 4

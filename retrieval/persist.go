@@ -124,7 +124,7 @@ func WithTextConfig(tc TextConfig) LoadOption {
 // internal LSI Save, e.g. `lsiquery -save-index` builds from before the
 // format bump. v2 streams come back ready for text queries; v1 streams
 // lack a vocabulary, so text queries return ErrNoVocabulary unless
-// WithTextConfig supplies one (vector queries via SearchVector always
+// WithTextConfig supplies one (vector queries through Query always
 // work). Unknown future versions fail with a clear error naming the
 // version.
 func Load(r io.Reader, opts ...LoadOption) (*Index, error) {

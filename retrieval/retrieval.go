@@ -29,28 +29,76 @@ package retrieval
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"repro/retrieval/cache"
 )
 
-// Retriever is the query contract shared by every backend. Search and
-// SearchBatch take raw query text (preprocessed by the same pipeline the
-// index was built with), honor ctx cancellation, and return ranked
-// results best-first with ties broken by document position for
-// determinism.
+// Retriever is the query contract shared by every backend, the cluster
+// router and its replicas. Query text is preprocessed by the same
+// pipeline the index was built with; both search methods honor ctx
+// cancellation and return ranked results best-first with ties broken by
+// document position for determinism.
 type Retriever interface {
-	// Search returns the topN best documents for a text query (all
-	// documents if topN <= 0). It returns ErrNoQueryTerms if no query
-	// token survives preprocessing and vocabulary lookup.
-	Search(ctx context.Context, query string, topN int) ([]Result, error)
-	// SearchBatch runs many queries, fanning work across CPUs. Unlike
-	// Search, a query with no in-vocabulary terms yields an empty result
-	// slice rather than failing the whole batch.
+	// Query runs one search request — a text query or a raw term-space
+	// vector, at the configured or a per-request probe budget — and
+	// returns the topN best documents (all documents if TopN <= 0). A
+	// text query with no known term fails with ErrNoQueryTerms.
+	Query(ctx context.Context, req SearchRequest) (SearchResponse, error)
+	// SearchBatch runs many text queries, fanning work across CPUs.
+	// Unlike Query, a query with no in-vocabulary terms yields an empty
+	// result slice rather than failing the whole batch.
 	SearchBatch(ctx context.Context, queries []string, topN int) ([][]Result, error)
 	// NumDocs returns the number of indexed documents.
 	NumDocs() int
 	// Stats describes the index (backend, dimensions, rank, weighting).
 	Stats() Stats
+}
+
+// SearchRequest is one search, and the JSON body of POST /v1/search.
+// Exactly one of Query and Vector must be set (see Validate).
+type SearchRequest struct {
+	// Query is raw query text, preprocessed by the index's pipeline.
+	Query string `json:"query,omitempty"`
+	// Vector is a raw term-space query; its length must equal the
+	// index's vocabulary size.
+	Vector []float64 `json:"vector,omitempty"`
+	// TopN is the result count (<= 0 means every document).
+	TopN int `json:"topN,omitempty"`
+	// NProbe overrides the probe budget for this request: nil is the
+	// configured default (see WithANN), 0 forces the fully exact scan
+	// (float64 kernels over every document, bypassing both tiers), and
+	// n > 0 scores n cells per quantizer (clamped to nlist) while keeping
+	// the configured quantized rerank. Indexes without an ANN tier serve
+	// every budget through the tiers they do have.
+	NProbe *int `json:"nprobe,omitempty"`
+}
+
+// Validate checks the request's shape: exactly one of Query and Vector,
+// and a non-negative NProbe. Failures wrap ErrInvalidRequest.
+func (r SearchRequest) Validate() error {
+	if (r.Query != "") == (len(r.Vector) > 0) {
+		return fmt.Errorf("%w: exactly one of \"query\" and \"vector\" must be set", ErrInvalidRequest)
+	}
+	if r.NProbe != nil && *r.NProbe < 0 {
+		return fmt.Errorf("%w: nprobe must be >= 0, got %d", ErrInvalidRequest, *r.NProbe)
+	}
+	return nil
+}
+
+// SearchResponse is the answer to one SearchRequest, and the JSON body
+// of a successful POST /v1/search.
+type SearchResponse struct {
+	// Results are the ranked hits, best first.
+	Results []Result `json:"results"`
+	// Cache is the query cache's disposition of the lookup (StatusBypass
+	// when no cache was consulted: an uncached index, a vector query, or
+	// a per-request budget). The HTTP layer sends it as Cache-Status.
+	Cache cache.Status `json:"-"`
+	// Partial reports a fan-out answered from a degraded quorum: the
+	// results are a correct merge of the shards that answered. The HTTP
+	// layer sends it as X-Partial-Results.
+	Partial bool `json:"-"`
 }
 
 // Result is one ranked retrieval hit.
@@ -167,6 +215,9 @@ var (
 	// ErrNoVocabulary reports a text query against an index without a
 	// bundled vocabulary (a v1-format file loaded without WithTextConfig).
 	ErrNoVocabulary = errors.New("retrieval: index has no vocabulary; text queries unavailable (load v1 indexes with WithTextConfig, or re-save as v2)")
+	// ErrInvalidRequest reports a malformed SearchRequest: both or
+	// neither of Query and Vector set, or a negative NProbe.
+	ErrInvalidRequest = errors.New("retrieval: invalid search request")
 	// ErrVectorLength reports a raw query vector whose length differs
 	// from the index vocabulary size.
 	ErrVectorLength = errors.New("retrieval: query vector length does not match the index vocabulary")

@@ -78,7 +78,7 @@ func TestSearchErrorContracts(t *testing.T) {
 	if _, err := ix.Search(ctx, "zzzunknownzzz", 3); !errors.Is(err, ErrNoQueryTerms) {
 		t.Fatalf("unknown-vocabulary query = %v, want ErrNoQueryTerms", err)
 	}
-	if _, err := ix.SearchVector(ctx, []float64{1, 2, 3}, 3); !errors.Is(err, ErrVectorLength) {
+	if _, err := ix.Query(ctx, SearchRequest{Vector: []float64{1, 2, 3}, TopN: 3}); !errors.Is(err, ErrVectorLength) {
 		t.Fatalf("short vector = %v, want ErrVectorLength", err)
 	}
 	canceled, cancel := context.WithCancel(ctx)
@@ -98,8 +98,8 @@ func TestSearchVectorMatchesTextSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Densify the sparse query the text path uses: the dense SearchVector
-	// path must agree with the sparse hot path bitwise.
+	// Densify the sparse query the text path uses: the dense vector
+	// request must agree with the sparse hot path bitwise.
 	terms, weights, known := ix.querySparse("galaxy stars")
 	if known == 0 {
 		t.Fatal("demo query missed the vocabulary")
@@ -108,10 +108,11 @@ func TestSearchVectorMatchesTextSearch(t *testing.T) {
 	for i, term := range terms {
 		q[term] = weights[i]
 	}
-	fromVec, err := ix.SearchVector(ctx, q, 3)
+	resp, err := ix.Query(ctx, SearchRequest{Vector: q, TopN: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fromVec := resp.Results
 	for i := range fromText {
 		if fromText[i] != fromVec[i] {
 			t.Fatalf("result %d differs: %+v vs %+v", i, fromText[i], fromVec[i])

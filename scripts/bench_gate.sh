@@ -43,9 +43,10 @@ BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkQuantizedScan'
 COUNT=5
 TIME="0.3s"
 # The packages holding the gated benchmarks: the root suite (query
-# latency + batch), the backend hot paths, the int8 scan kernels, and
-# the segment scan every LSI query runs through.
-PKGS=". ./internal/vsm ./internal/lsi ./internal/quant ./internal/segment"
+# latency + batch), the backend hot paths, the int8 scan kernels, the
+# segment scan every LSI query runs through, and the HTTP search
+# handler (BenchmarkSearchHandler: decode, search, encode).
+PKGS=". ./internal/vsm ./internal/lsi ./internal/quant ./internal/segment ./retrieval/httpapi"
 
 while getopts "r:a:b:t:o:B:c:T:" opt; do
 	case $opt in
