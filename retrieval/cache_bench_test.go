@@ -179,6 +179,6 @@ func BenchmarkCachedQueryUncachedBaseline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.qc.search(terms, weights, 10, ix.searchSparse)
+		ix.searchSparse(terms, weights, 10)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -177,24 +178,54 @@ func TestRouterMergeBitwise(t *testing.T) {
 // TestRouterRejectsMalformedRequests: a request of the wrong shape
 // fails before any fan-out, and one every node rejects as malformed (a
 // vector of the wrong length) is the client's error — 400 through the
-// router's handler, not a 500 "no shard reachable".
+// router's handler, not a 500 "no shard reachable". The rejection is
+// final for the shard: the router asks no replica the same request and
+// counts no node error.
 func TestRouterRejectsMalformedRequests(t *testing.T) {
 	tc := startCluster(t, 20, 2)
 	ctx := context.Background()
+	var searches atomic.Int64
+	counted := func(h http.Handler) *httptest.Server {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/search" {
+				searches.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	man := &cluster.Manifest{Version: 1, Shards: 2}
+	for s, node := range tc.nodes {
+		rep := cluster.NewReplica(tc.servers[s].URL, t.TempDir(), cluster.ReplicaOptions{})
+		if err := rep.Bootstrap(ctx); err != nil {
+			t.Fatal(err)
+		}
+		man.Nodes = append(man.Nodes,
+			cluster.Node{Name: fmt.Sprintf("p%d", s), URL: counted(httpapi.NewHandler(node, httpapi.Options{})).URL, Shard: s},
+			cluster.Node{Name: fmt.Sprintf("r%d", s), URL: counted(httpapi.NewHandler(rep, httpapi.Options{})).URL, Shard: s, Replica: true})
+	}
+	router, err := cluster.NewRouter(man, cluster.RouterOptions{HedgeAfter: time.Minute, NodeTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
 	neg := -1
 	for name, req := range map[string]retrieval.SearchRequest{
 		"neither query nor vector": {TopN: 3},
 		"negative nprobe":          {Query: "car", NProbe: &neg},
 		"short vector":             {Vector: []float64{1, 2}, TopN: 3},
 	} {
-		if _, err := tc.router.Query(ctx, req); !errors.Is(err, retrieval.ErrInvalidRequest) {
+		if _, err := router.Query(ctx, req); !errors.Is(err, retrieval.ErrInvalidRequest) {
 			t.Errorf("%s: err = %v, want ErrInvalidRequest", name, err)
 		}
 	}
-	if st := tc.router.RouterStats(); st.Partials != 0 {
-		t.Fatalf("malformed requests counted as degraded answers: %+v", st)
+	if got := searches.Load(); got != int64(man.Shards) {
+		t.Errorf("malformed requests cost %d node searches, want %d (one per shard, for the short vector)", got, man.Shards)
 	}
-	h := httpapi.NewHandler(tc.router, httpapi.Options{})
+	if st := router.RouterStats(); st.Partials != 0 || st.NodeErrors != 0 {
+		t.Fatalf("malformed requests counted as degraded answers or node errors: %+v", st)
+	}
+	h := httpapi.NewHandler(router, httpapi.Options{})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/search", strings.NewReader(`{"vector":[1,2],"topN":3}`)))
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "vector length") {

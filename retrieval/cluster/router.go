@@ -200,7 +200,8 @@ func (r *Router) Manifest() *Manifest { return r.man.Load().man }
 
 // nodeStatusError is a non-2xx node response: the node answered, so
 // the failure carries HTTP semantics the router branches on — a shed
-// (429/503 + Retry-After) propagates backpressure, anything else is a
+// (429/503 + Retry-After) propagates backpressure, a rejection (any
+// other 4xx) is the request's fault and final, anything else is a
 // plain failure handled by hedging.
 type nodeStatusError struct {
 	node, path string
@@ -217,6 +218,20 @@ func (e *nodeStatusError) Error() string {
 // or debt/drain 503) rather than a malfunction.
 func (e *nodeStatusError) shed() bool {
 	return e.code == http.StatusTooManyRequests || e.code == http.StatusServiceUnavailable
+}
+
+// rejected reports whether the node refused the request itself (a
+// non-shed 4xx, e.g. a vector of the wrong length). Every candidate of
+// a shard gets the identical request, so another would refuse it too;
+// and the node is healthy.
+func (e *nodeStatusError) rejected() bool {
+	return e.code/100 == 4 && !e.shed()
+}
+
+// rejectedOf reports whether an error chain holds a rejection.
+func rejectedOf(err error) bool {
+	var nse *nodeStatusError
+	return errors.As(err, &nse) && nse.rejected()
 }
 
 // shedOf extracts a shed from an error chain (nil when the error is
@@ -327,10 +342,12 @@ func (r *Router) do(ctx context.Context, node Node, path string, body, out any) 
 		h.breaker.Record(err == nil || (isStatus && (nse.code < 500 || nse.shed())))
 		if err != nil {
 			// Counted at the source so hedge losers and retries show up
-			// even when a winner returns before their outcome drains.
-			if shedOf(err) != nil {
+			// even when a winner returns before their outcome drains. A
+			// rejection is the client's error, not the node's.
+			switch {
+			case shedOf(err) != nil:
 				r.nodeSheds.Add(1)
-			} else {
+			case !rejectedOf(err):
 				r.nodeErrs.Add(1)
 			}
 		}
@@ -351,8 +368,9 @@ func (r *Router) do(ctx context.Context, node Node, path string, body, out any) 
 // hedged runs call against a shard's candidates, primary first. A
 // candidate that errors is replaced immediately; one that is merely
 // slow is raced against the next candidate after HedgeAfter. The first
-// success wins and cancels the stragglers; when every candidate has
-// failed the last error is returned.
+// success wins and cancels the stragglers; a rejection ends the walk at
+// once, since every candidate would reject the same request; when every
+// candidate has failed the last error is returned.
 func hedged[T any](r *Router, ctx context.Context, nodes []Node, call func(context.Context, Node) (T, error)) (T, error) {
 	var zero T
 	hctx, cancel := context.WithCancel(ctx)
@@ -381,6 +399,9 @@ func hedged[T any](r *Router, ctx context.Context, nodes []Node, call func(conte
 			pending--
 			if out.err == nil {
 				return out.v, nil
+			}
+			if rejectedOf(out.err) {
+				return zero, out.err
 			}
 			// Counting happens in do (sheds/errors) and at the breaker
 			// (denied), so outcomes draining after a winner still show
@@ -731,7 +752,9 @@ type RouterStats struct {
 	Partials int64
 	// Hedges counts hedged requests launched because a node was slow.
 	Hedges int64
-	// NodeErrors counts failed node requests (including hedge losers).
+	// NodeErrors counts failed node requests (including hedge losers);
+	// a request a node rejected as malformed (a non-shed 4xx) is the
+	// client's error and is not counted.
 	NodeErrors int64
 	// Reloads and StaleReloads count accepted and version-rejected
 	// manifest reloads.
@@ -804,7 +827,7 @@ func (r *Router) RegisterMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(r.partials.Load()) })
 	reg.CounterFunc("lsi_cluster_hedges_total", "Hedged node requests launched because a primary was slow.",
 		func() float64 { return float64(r.hedges.Load()) })
-	reg.CounterFunc("lsi_cluster_node_errors_total", "Failed node requests, including hedge losers.",
+	reg.CounterFunc("lsi_cluster_node_errors_total", "Failed node requests, including hedge losers; node rejections (non-shed 4xx) excluded.",
 		func() float64 { return float64(r.nodeErrs.Load()) })
 	reg.CounterFunc("lsi_cluster_manifest_reloads_total", "Accepted manifest hot reloads.",
 		func() float64 { return float64(r.reloads.Load()) })
