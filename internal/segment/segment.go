@@ -28,7 +28,8 @@
 // bounded top-k under the strict (score desc, global doc asc) total
 // order, so results are deterministic for any segment layout and any
 // worker count. It is the one LSI search path: an unsharded index is a
-// single segment with the identity Global mapping.
+// one-shard shard index of a single segment with the identity Global
+// mapping.
 package segment
 
 import (

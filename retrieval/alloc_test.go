@@ -74,6 +74,33 @@ func TestTextSearchAllocsIndependentOfCorpusSize(t *testing.T) {
 	}
 }
 
+// TestOneShardSearchAllocsMatchUnsharded: a 1-shard live index searches
+// through the same container as an unsharded one, and its published
+// segment list is handed to the scan without a per-query copy.
+func TestOneShardSearchAllocsMatchUnsharded(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	prev := par.SetMaxProcs(1)
+	t.Cleanup(func() { par.SetMaxProcs(prev) })
+	ctx := context.Background()
+	measure := func(opts ...Option) float64 {
+		ix, err := Build(DemoCorpus(), append([]Option{WithRank(3), WithEngine(EngineDense)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		return testing.AllocsPerRun(200, func() {
+			if _, err := ix.Search(ctx, "car engine", 10); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, plain := measure(WithShards(1), WithAutoCompact(false)), measure(); one != plain {
+		t.Fatalf("WithShards(1) search: %v allocs/op, unsharded %v", one, plain)
+	}
+}
+
 func TestSearchVectorMatchesSparseTextPath(t *testing.T) {
 	// The dense vector request and the sparse text path must agree
 	// bitwise — same ranking, same scores — for both backends.

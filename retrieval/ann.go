@@ -2,57 +2,19 @@ package retrieval
 
 import (
 	"context"
-	"fmt"
 
-	"repro/internal/ivf"
-	"repro/internal/quant"
 	"repro/internal/segment"
 )
 
-// The ANN tier at the retrieval layer (see WithANN). An unsharded LSI
-// index attaches one IVF quantizer to its single segment, trained at
-// Build (and at Open, when the opening options ask for the tier — the
-// quantizer is derived state, cheap to rebuild and deterministic for a
-// fixed seed, so single-stream index files stay format-stable). In a
-// sharded index every compacted segment owns a quantizer persisted as an
-// ann-*.ivf sidecar next to its seg-*.idx file (see retrieval/shard).
-// Either way segment.SearchSparseOpts decides, per segment, whether a
-// search probes.
-
-// annSeedOffset separates the quantizer-training random stream from the
-// decomposition seeds derived from the same configured seed.
-const annSeedOffset = 500009
-
-// attachTiers trains the configured tiers onto the unsharded LSI
-// segment — the IVF quantizer (seeded from the configured seed, so a
-// rebuild reproduces it) and the int8 shadow — and records the tier
-// configuration. Build and Open call it once the LSI index exists.
-func (ix *Index) attachTiers(cfg config) error {
-	ix.annList, ix.annProbe, ix.quantBeta = cfg.annList, cfg.annProbe, cfg.quantBeta
-	seg := ix.segs[0]
-	if cfg.annList > 0 {
-		ann, err := ivf.Train(seg.Ix.DocVectors(), seg.Ix.Norms(), ivf.TrainOptions{
-			NList: cfg.annList,
-			Seed:  cfg.seed + annSeedOffset,
-		})
-		if err != nil {
-			return fmt.Errorf("retrieval: training quantizer: %w", err)
-		}
-		ix.annList = ann.NList() // post-clamp truth beats the config
-		if seg, err = seg.WithAnn(ann); err != nil {
-			return err
-		}
-	}
-	if cfg.quantBeta > 0 {
-		qseg, err := seg.WithQuant(quant.Quantize(seg.Ix.DocVectors()))
-		if err != nil {
-			return err
-		}
-		seg = qseg
-	}
-	ix.segs[0] = seg
-	return nil
-}
+// The ANN tier at the retrieval layer (see WithANN). Every LSI index
+// is a shard.Index, and its compacted segments carry the IVF quantizers:
+// an unsharded index trains one onto its single segment at Build (and at
+// Open, when the opening options ask for the tier — the quantizer is
+// derived state, cheap to rebuild and deterministic for a fixed seed, so
+// single-stream index files stay format-stable); a sharded index
+// persists one per segment as an ann-*.ivf sidecar next to its seg-*.idx
+// file (see retrieval/shard). Either way segment.SearchSparseOpts
+// decides, per segment, whether a search probes.
 
 // SearchProbe is Search with a per-request probe budget overriding the
 // configured default (see SearchRequest.NProbe); nprobe <= 0 forces the
@@ -104,10 +66,11 @@ func (ix *Index) ANNStats() (ANNStats, bool) {
 	}, true
 }
 
-// tierStats summarizes the LSI segment set's tier sidecars and counters.
+// tierStats summarizes the LSI segment set's tier sidecars and counters
+// (zero for VSM).
 func (ix *Index) tierStats() segment.TierStats {
-	if ix.sharded != nil {
-		return ix.sharded.Stats().TierStats
+	if ix.sx == nil {
+		return segment.TierStats{}
 	}
-	return ix.tiers.Stats(ix.segs)
+	return ix.sx.TierStats()
 }

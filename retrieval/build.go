@@ -15,7 +15,6 @@ import (
 	"repro/internal/sparse"
 	"repro/internal/topk"
 	"repro/internal/vsm"
-	"repro/retrieval/cache"
 	"repro/retrieval/shard"
 	"repro/retrieval/wal"
 )
@@ -27,27 +26,30 @@ import (
 type Index struct {
 	backend Backend
 
-	// segs holds an unsharded LSI index as one immutable segment with the
-	// identity Global mapping and, when configured, its IVF quantizer and
-	// int8 shadow — so unsharded and sharded LSI indexes share
-	// segment.SearchSparseOpts. nil for VSM and sharded indexes.
-	segs     []*segment.Segment
+	// sx holds every LSI index: the sharded live index of WithShards, or
+	// — built without it, or loaded from a stream — a one-shard index of
+	// one compacted segment (shard.New), so every LSI query, counter and
+	// estimate goes through one container. live tells the two apart: only
+	// a live index accepts Add, persists to a directory and attaches a
+	// WAL; only an immutable one saves to a single stream. nil for VSM.
+	sx   *shard.Index
+	live bool
+	// The VSM backend: the inverted index, the term-document matrix
+	// (retained for persistence) and the document IDs (an LSI index's
+	// live in its shard directory).
 	vsmIndex *vsm.Index
-	matrix   *sparse.CSR  // term-document matrix, retained for VSM persistence
-	sharded  *shard.Index // non-nil iff built with WithShards
+	matrix   *sparse.CSR
+	docIDs   []string
 
 	vocab           *ir.Vocabulary // nil only for v1 files loaded without text config
 	weighting       Weighting
 	removeStopwords bool
 	stemming        bool
-	docIDs          []string
 
 	// The approximate tiers (WithANN, WithQuantized): annList is the cell
 	// count, annProbe and quantBeta the default budget of Search (0 =
-	// exhaustive, resp. float scoring). tiers counts the unsharded
-	// index's tier work; sharded indexes count in retrieval/shard.
+	// exhaustive, resp. float scoring).
 	annList, annProbe, quantBeta int
-	tiers                        segment.Counters
 
 	qc *queryCache // non-nil iff built/opened with WithQueryCache
 
@@ -110,18 +112,11 @@ func Build(docs []Document, opts ...Option) (*Index, error) {
 		weighting:       cfg.weighting,
 		removeStopwords: cfg.removeStopwords,
 		stemming:        cfg.stemming,
-		docIDs:          ids,
 	}
-	if cfg.shards > 0 {
-		sx, err := buildSharded(ix, a, ids, c.NumTerms, len(c.Docs), cfg)
-		if err != nil {
-			return nil, err
-		}
-		sx.initCache(cfg.cacheBytes)
-		return sx, nil
-	}
-	switch cfg.backend {
-	case BackendLSI:
+	switch {
+	case cfg.shards > 0 && cfg.backend != BackendLSI:
+		return nil, fmt.Errorf("retrieval: WithShards requires the LSI backend (got %s)", cfg.backend)
+	case cfg.backend == BackendLSI:
 		engine, err := cfg.engine.toLSI()
 		if err != nil {
 			return nil, err
@@ -130,22 +125,55 @@ func Build(docs []Document, opts ...Option) (*Index, error) {
 		if rank <= 0 {
 			rank = autoRank(c.NumTerms, len(c.Docs))
 		}
-		lx, err := lsi.Build(a, rank, lsi.Options{Engine: engine, Seed: cfg.seed})
-		if err != nil {
-			return nil, fmt.Errorf("retrieval: building LSI index: %w", err)
+		if cfg.shards > 0 {
+			err = ix.buildSharded(a, ids, rank, engine, cfg)
+		} else {
+			err = ix.buildLSI(a, ids, rank, engine, cfg)
 		}
-		ix.segs = []*segment.Segment{identitySegment(lx)}
-		if err := ix.attachTiers(cfg); err != nil {
+		if err != nil {
 			return nil, err
 		}
-	case BackendVSM:
-		ix.vsmIndex = vsm.NewFromMatrix(a)
-		ix.matrix = a
+	case cfg.backend == BackendVSM:
+		ix.vsmIndex, ix.matrix, ix.docIDs = vsm.NewFromMatrix(a), a, ids
 	default:
 		return nil, fmt.Errorf("retrieval: unknown backend %d", int(cfg.backend))
 	}
 	ix.initCache(cfg.cacheBytes)
 	return ix, nil
+}
+
+// buildLSI finishes an unsharded LSI Build: one decomposition of the
+// whole matrix, wrapped as a one-shard index.
+func (ix *Index) buildLSI(a *sparse.CSR, ids []string, rank int, engine lsi.Engine, cfg config) error {
+	lx, err := lsi.Build(a, rank, lsi.Options{Engine: engine, Seed: cfg.seed})
+	if err != nil {
+		return fmt.Errorf("retrieval: building LSI index: %w", err)
+	}
+	return ix.setSingle(lx, ids, cfg)
+}
+
+// setSingle makes lx — built, or loaded from a stream — the index's
+// one-shard LSI container, retaining ids. The configured tiers are
+// trained onto its one segment at any corpus size (the sharded
+// thresholds are for the segments ingest and compaction churn out),
+// seeded exactly as shard 0 of a sharded build, so a rebuild or a
+// reopen reproduces them.
+func (ix *Index) setSingle(lx *lsi.Index, ids []string, cfg config) error {
+	sx, err := shard.New(lx, ids, shard.Config{
+		Seed:         cfg.seed,
+		ANNList:      cfg.annList,
+		ANNMinDocs:   1,
+		Quantize:     cfg.quantBeta > 0,
+		QuantMinDocs: 1,
+	})
+	if err != nil {
+		return fmt.Errorf("retrieval: %w", err)
+	}
+	ix.sx = sx
+	// ivf.Train clamps the cell count to the document count: report the
+	// post-clamp truth.
+	ix.annList, ix.annProbe, ix.quantBeta = min(cfg.annList, lx.NumDocs()), cfg.annProbe, cfg.quantBeta
+	return nil
 }
 
 // BuildTexts is Build for bare strings; document IDs default to "doc-<n>".
@@ -159,36 +187,27 @@ func BuildTexts(texts []string, opts ...Option) (*Index, error) {
 
 // NumDocs returns the number of indexed documents.
 func (ix *Index) NumDocs() int {
-	switch {
-	case ix.sharded != nil:
-		return ix.sharded.NumDocs()
-	case ix.backend == BackendVSM:
-		return ix.vsmIndex.NumDocs()
+	if ix.sx != nil {
+		return ix.sx.NumDocs()
 	}
-	return ix.segs[0].Len()
+	return ix.vsmIndex.NumDocs()
 }
 
 // NumTerms returns the vocabulary size the index was built over.
 func (ix *Index) NumTerms() int {
-	switch {
-	case ix.sharded != nil:
-		return ix.sharded.NumTerms()
-	case ix.backend == BackendVSM:
-		return ix.vsmIndex.NumTerms()
+	if ix.sx != nil {
+		return ix.sx.NumTerms()
 	}
-	return ix.segs[0].Ix.NumTerms()
+	return ix.vsmIndex.NumTerms()
 }
 
 // Rank returns the retained LSI rank (0 for the VSM backend; the
 // per-shard rank for sharded indexes).
 func (ix *Index) Rank() int {
-	switch {
-	case ix.sharded != nil:
-		return ix.sharded.Rank()
-	case ix.backend == BackendVSM:
-		return 0
+	if ix.sx != nil {
+		return ix.sx.Rank()
 	}
-	return ix.segs[0].Ix.K()
+	return 0
 }
 
 // Stats describes the index, including a per-backend memory estimate
@@ -201,7 +220,9 @@ func (ix *Index) Stats() Stats {
 		Rank:        ix.Rank(),
 		Weighting:   ix.weighting.String(),
 		TextQueries: ix.vocab != nil,
-		Ready:       true,
+		Epoch:       ix.Epoch(),
+		Generation:  ix.Generation(),
+		Ready:       ix.Ready(),
 	}
 	if ix.vocab != nil {
 		st.VocabSize = ix.vocab.Size()
@@ -209,43 +230,28 @@ func (ix *Index) Stats() Stats {
 			st.MemoryBytes += int64(len(term)) + 16
 		}
 	}
-	for _, id := range ix.docIDs {
-		st.MemoryBytes += int64(len(id)) + 16
-	}
-	switch {
-	case ix.sharded != nil:
-		ss := ix.sharded.Stats()
-		st.Sharded = true
-		st.Epoch = ix.sharded.Epoch()
-		st.Generation = ss.Generation
-		st.Shards = ss.Shards
-		st.Segments = ss.Segments
-		st.LiveSegments = ss.Live
-		st.SealedPending = ss.SealedPending
-		st.CompactedSegments = ss.Compacted
-		st.FoldedDocs = ss.FoldedDocs
-		st.Compactions = ss.Compactions
+	if ix.sx != nil {
+		ss := ix.sx.Stats()
 		st.MemoryBytes += ss.MemoryBytes
-		st.Ready = ix.sharded.Ready()
-	case ix.backend == BackendVSM:
+		if ix.live {
+			st.Sharded = true
+			st.Shards = ss.Shards
+			st.Segments = ss.Segments
+			st.LiveSegments = ss.Live
+			st.SealedPending = ss.SealedPending
+			st.CompactedSegments = ss.Compacted
+			st.FoldedDocs = ss.FoldedDocs
+			st.Compactions = ss.Compactions
+		}
+	} else {
 		// Postings (doc, weight) pairs mirror the matrix nonzeros; the
 		// matrix itself is retained for persistence.
 		nnz := int64(ix.matrix.NNZ())
 		n, m := ix.matrix.Dims()
 		st.MemoryBytes += nnz*16 + int64(m)*8   // postings + norms
 		st.MemoryBytes += nnz*16 + int64(n+1)*8 // retained CSR
-	default:
-		seg := ix.segs[0]
-		n := int64(seg.Ix.NumTerms())
-		m := int64(seg.Len())
-		k := int64(seg.Ix.K())
-		st.MemoryBytes += 8 * (n*k + m*k + k + 2*m) // basis + doc rows + sigma + norms + Global
-		if ann := seg.Ann; ann != nil {
-			nlist := int64(ann.NList())
-			st.MemoryBytes += 8*nlist*int64(ann.Dim()) + 8*nlist + 8*(nlist+1) + 4*int64(ann.NumDocs())
-		}
-		if qm := seg.Quant; qm != nil {
-			st.MemoryBytes += qm.Bytes()
+		for _, id := range ix.docIDs {
+			st.MemoryBytes += int64(len(id)) + 16
 		}
 	}
 	if cs, ok := ix.CacheStats(); ok {
@@ -263,13 +269,11 @@ func (ix *Index) Stats() Stats {
 
 // DocID returns the external identifier of document doc (build order).
 func (ix *Index) DocID(doc int) string {
-	if ix.sharded != nil {
-		if id := ix.sharded.ExternalID(doc); id != "" {
+	if ix.sx != nil {
+		if id := ix.sx.ExternalID(doc); id != "" {
 			return id
 		}
-		return fmt.Sprintf("doc-%d", doc)
-	}
-	if doc >= 0 && doc < len(ix.docIDs) {
+	} else if doc >= 0 && doc < len(ix.docIDs) {
 		return ix.docIDs[doc]
 	}
 	return fmt.Sprintf("doc-%d", doc)
@@ -315,20 +319,16 @@ func (ix *Index) querySparse(query string) (terms []int, weights []float64, know
 
 // search is the one search path: every query — text or vector, default
 // or per-request budget, unsharded or sharded — ranks here. LSI queries
-// run through segment.SearchSparseOpts (an unsharded index is one
-// segment), so the tier decision is made in one place; VSM keeps its
-// inverted-file kernel and ignores the tier options.
+// run through the shard container's segment.SearchSparseOpts (an
+// unsharded index is one shard of one segment), so the tier decision is
+// made in one place; VSM keeps its inverted-file kernel and ignores the
+// tier options.
 func (ix *Index) search(terms []int, weights []float64, topN int, opts segment.ProbeOptions) []Result {
 	var ms []topk.Match
-	switch {
-	case ix.sharded != nil:
-		ms, _ = ix.sharded.SearchSparseOpts(terms, weights, topN, opts)
-	case ix.backend == BackendVSM:
+	if ix.sx != nil {
+		ms, _ = ix.sx.SearchSparseOpts(terms, weights, topN, opts)
+	} else {
 		ms = ix.vsmIndex.SearchSparse(terms, weights, topN)
-	default:
-		var st segment.ProbeStats
-		ms, st = segment.SearchSparseOpts(ix.segs, terms, weights, topN, opts)
-		ix.tiers.Record(st)
 	}
 	out := make([]Result, len(ms))
 	for i, m := range ms {
@@ -433,11 +433,12 @@ func sparseVector(q []float64) (terms []int, weights []float64) {
 // enough that the workers stay saturated.
 const batchChunk = 64
 
-// SearchBatch implements Retriever: it answers what it can from the query
-// cache, then runs the misses through the same path as Search, fanning
-// whole queries across CPUs and checking ctx between chunks of batchChunk
-// queries. Queries with no in-vocabulary terms yield empty (non-nil)
-// result slices; result order matches query order.
+// SearchBatch implements Retriever: it runs every query through the
+// same path as Search — the query cache included, so a query repeated in
+// the batch is computed once — fanning whole queries across CPUs and
+// checking ctx between chunks of batchChunk queries. Queries with no
+// in-vocabulary terms yield empty (non-nil) result slices; result order
+// matches query order.
 func (ix *Index) SearchBatch(ctx context.Context, queries []string, topN int) ([][]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -445,53 +446,18 @@ func (ix *Index) SearchBatch(ctx context.Context, queries []string, topN int) ([
 	if ix.vocab == nil {
 		return nil, ErrNoVocabulary
 	}
-	type miss struct {
-		i       int
-		terms   []int
-		weights []float64
-		key     []byte
-	}
-	// Computed misses are stored after their chunk if the epoch stayed
-	// stable: the same publish-then-bump validity protocol as Search.
-	var epoch uint64
-	if ix.qc != nil {
-		epoch = ix.qc.epoch()
-	}
 	out := make([][]Result, len(queries))
-	misses := make([]miss, 0, len(queries))
-	for i, query := range queries {
-		terms, weights, known := ix.querySparse(query)
-		if known == 0 {
-			out[i] = []Result{}
-			continue
-		}
-		var key []byte
-		if ix.qc != nil {
-			key = cache.AppendQueryKey(nil, epoch, topN, terms, weights)
-			if v, ok := ix.qc.c.Get(key); ok {
-				out[i] = copyResults(v)
-				continue
-			}
-		}
-		misses = append(misses, miss{i, terms, weights, key})
-	}
 	grain := par.GrainFor((1 + ix.NumDocs()) * max(ix.Rank(), 1))
-	for lo := 0; lo < len(misses); lo += batchChunk {
+	for lo := 0; lo < len(queries); lo += batchChunk {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		chunk := misses[lo:min(lo+batchChunk, len(misses))]
+		chunk := out[lo:min(lo+batchChunk, len(queries))]
 		par.For(len(chunk), grain, func(a, b int) {
-			for _, m := range chunk[a:b] {
-				out[m.i] = ix.searchSparse(m.terms, m.weights, topN)
+			for i := a; i < b; i++ {
+				chunk[i] = ix.batchQuery(queries[lo+i], topN)
 			}
 		})
-		if ix.qc != nil && ix.qc.epoch() == epoch {
-			for _, m := range chunk {
-				// The caller owns out[m.i]; cache a private copy.
-				ix.qc.c.Put(m.key, copyResults(out[m.i]))
-			}
-		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -499,12 +465,17 @@ func (ix *Index) SearchBatch(ctx context.Context, queries []string, topN int) ([
 	return out, nil
 }
 
-// identitySegment wraps an unsharded LSI index as one compacted segment
-// whose Global mapping is the identity.
-func identitySegment(lx *lsi.Index) *segment.Segment {
-	global := make([]int, lx.NumDocs())
-	for i := range global {
-		global[i] = i
+// batchQuery answers one SearchBatch query at the default budget: an
+// empty slice when no term is known, else through the query cache when
+// there is one.
+func (ix *Index) batchQuery(query string, topN int) []Result {
+	terms, weights, known := ix.querySparse(query)
+	switch {
+	case known == 0:
+		return []Result{}
+	case ix.qc != nil:
+		res, _ := ix.qc.search(terms, weights, topN, ix.searchSparse)
+		return res
 	}
-	return &segment.Segment{Ix: lx, Global: global, Compacted: true}
+	return ix.searchSparse(terms, weights, topN)
 }

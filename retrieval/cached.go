@@ -13,8 +13,8 @@ import (
 // entry), the requested topN, and the index epoch. The epoch is the
 // invalidation story:
 //
-//   - Unsharded indexes are immutable after Build, so they use the
-//     constant epoch 0 and cached results stay valid forever.
+//   - Unsharded indexes are immutable after Build: their epoch stays 0
+//     and cached results stay valid forever.
 //   - Sharded live indexes expose shard.Index.Epoch, which advances
 //     after every published Add batch and every compaction swap. The
 //     bump retires the whole cached working set in O(1) — new lookups
@@ -72,17 +72,7 @@ func (ix *Index) initCache(maxBytes int64) {
 	if c == nil {
 		return
 	}
-	ix.qc = &queryCache{c: c, epoch: ix.epoch}
-}
-
-// epoch returns the index's current mutation epoch: the shard
-// subsystem's global epoch for live indexes, the constant 0 for
-// immutable ones.
-func (ix *Index) epoch() uint64 {
-	if ix.sharded != nil {
-		return ix.sharded.Epoch()
-	}
-	return 0
+	ix.qc = &queryCache{c: c, epoch: ix.Epoch}
 }
 
 // search ranks a validated sparse query through the cache: hit and
@@ -126,5 +116,5 @@ func (ix *Index) CacheStats() (QueryCacheStats, bool) {
 	if ix.qc == nil {
 		return QueryCacheStats{}, false
 	}
-	return QueryCacheStats{Stats: ix.qc.c.Stats(), Epoch: ix.epoch()}, true
+	return QueryCacheStats{Stats: ix.qc.c.Stats(), Epoch: ix.Epoch()}, true
 }

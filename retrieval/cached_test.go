@@ -189,6 +189,24 @@ func TestCacheInvalidationOnAddAndCompact(t *testing.T) {
 	}
 }
 
+// TestSearchBatchComputesEachQueryOnce: batch queries share Search's
+// cache path, so a query repeated in one batch — verbatim or reordered
+// into the same normalized form — is computed once.
+func TestSearchBatchComputesEachQueryOnce(t *testing.T) {
+	ix, err := Build(DemoCorpus(), WithRank(3), WithEngine(EngineDense), WithQueryCache(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{"car engine", "galaxy stars", "zzzunknownzzz", "car engine", "engine car"}
+	if _, err := ix.SearchBatch(context.Background(), queries, 5); err != nil {
+		t.Fatal(err)
+	}
+	cs, _ := ix.CacheStats()
+	if cs.Misses != 2 {
+		t.Fatalf("misses = %d, want 2 (one per distinct in-vocabulary query); stats %+v", cs.Misses, cs.Stats)
+	}
+}
+
 func TestSearchBatchUsesCache(t *testing.T) {
 	ctx := context.Background()
 	ix, err := Build(DemoCorpus(), WithRank(3), WithEngine(EngineDense), WithQueryCache(1<<20))
@@ -221,11 +239,9 @@ func TestSearchBatchUsesCache(t *testing.T) {
 		}
 	}
 	cs, _ := ix.CacheStats()
-	// Round 1: "car engine" twice → 1 flight-less probe miss each (2
-	// misses), one stored; "galaxy stars" 1 miss; round 2: all three
-	// in-vocabulary lookups hit. The duplicate inside round 1 probes
-	// before its twin stores, so it recomputes (batch probing does not
-	// coalesce within one batch).
+	// Round 1: "car engine" and "galaxy stars" miss once each (the
+	// repeated "car engine" hits or coalesces); round 2: all three
+	// in-vocabulary lookups hit.
 	if cs.Hits < 3 {
 		t.Fatalf("hits = %d, want >= 3 (second round should be served from cache)", cs.Hits)
 	}

@@ -34,14 +34,16 @@ type ReplicaOptions struct {
 	// backoff (default faultinject.Real); chaos tests inject a
 	// FakeClock.
 	Clock faultinject.Clock
-	// PullAttempts caps transfer attempts per snapshot file (default 4).
-	// A cut connection resumes with a Range request from the last byte
-	// that landed, so each attempt makes forward progress.
-	PullAttempts int
-	// PullBackoff is the base delay between resumed pull attempts
-	// (default 100ms, doubling per attempt).
-	PullBackoff time.Duration
 }
+
+// A snapshot file pull makes at most pullAttempts transfer attempts,
+// waiting pullBackoff (doubling per attempt) between them. A cut
+// connection resumes with a Range request from the last byte that
+// landed, so each attempt makes forward progress.
+const (
+	pullAttempts = 4
+	pullBackoff  = 100 * time.Millisecond
+)
 
 func (o ReplicaOptions) withDefaults() ReplicaOptions {
 	if o.PollInterval <= 0 {
@@ -55,12 +57,6 @@ func (o ReplicaOptions) withDefaults() ReplicaOptions {
 	}
 	if o.Clock == nil {
 		o.Clock = faultinject.Real
-	}
-	if o.PullAttempts <= 0 {
-		o.PullAttempts = 4
-	}
-	if o.PullBackoff <= 0 {
-		o.PullBackoff = 100 * time.Millisecond
 	}
 	return o
 }
@@ -239,14 +235,14 @@ func (r *Replica) pullFile(ctx context.Context, name, dst string, wantGen uint64
 	defer f.Close()
 	var got int64
 	var lastErr error
-	for attempt := 0; attempt < r.opts.PullAttempts; attempt++ {
+	for attempt := 0; attempt < pullAttempts; attempt++ {
 		if attempt > 0 {
 			// Linear-doubling backoff on the injected clock; ctx still
 			// bounds the whole pull.
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-r.clock.After(r.opts.PullBackoff << (attempt - 1)):
+			case <-r.clock.After(pullBackoff << (attempt - 1)):
 			}
 			if got > 0 {
 				r.resumes.Add(1)

@@ -44,14 +44,6 @@ type RouterOptions struct {
 	// Breaker configures the per-node circuit breakers; its Clock
 	// defaults to the router's.
 	Breaker BreakerOptions
-	// MaxRetries caps same-node retries of a transport-level failure
-	// (default 2); HTTP status errors fail over via hedging instead of
-	// retrying. Every retry also needs retry-budget approval.
-	MaxRetries int
-	// RetryBase and RetryMaxDelay bound the jittered exponential
-	// backoff between retries (defaults 25ms and 500ms).
-	RetryBase     time.Duration
-	RetryMaxDelay time.Duration
 	// RetryBudgetRatio is the retry budget's refill per logical node
 	// request (default 0.1): across the router, retries cannot exceed
 	// ~this fraction of traffic, so a dead cluster sees failing
@@ -59,17 +51,22 @@ type RouterOptions struct {
 	// the saved-up budget (default 10).
 	RetryBudgetRatio float64
 	RetryBudgetBurst float64
-	// RetrySeed seeds the backoff jitter (default 1); chaos tests pin
-	// it so retry schedules are reproducible.
-	RetrySeed int64
 	// ProbeInterval is RunProbes' background health-probe cadence
 	// (default 2s).
 	ProbeInterval time.Duration
-	// FreshnessLagDocs ejects a node whose probed document count lags
-	// the freshest same-shard candidate by more than this (0 =
-	// freshness never ejects; probe failures and not-ready still do).
-	FreshnessLagDocs int
 }
+
+// Same-node retries of a transport-level failure: at most maxRetries
+// per node request (HTTP status errors fail over via hedging instead,
+// and every retry also needs retry-budget approval), after a jittered
+// exponential backoff from retryBase capped at retryMaxDelay. The jitter
+// stream has a fixed seed, so retry schedules are reproducible.
+const (
+	maxRetries    = 2
+	retryBase     = 25 * time.Millisecond
+	retryMaxDelay = 500 * time.Millisecond
+	retrySeed     = 1
+)
 
 func (o RouterOptions) withDefaults() RouterOptions {
 	if o.NodeTimeout <= 0 {
@@ -86,18 +83,6 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	}
 	if o.Breaker.Clock == nil {
 		o.Breaker.Clock = o.Clock
-	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = 2
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 25 * time.Millisecond
-	}
-	if o.RetryMaxDelay <= 0 {
-		o.RetryMaxDelay = 500 * time.Millisecond
-	}
-	if o.RetrySeed == 0 {
-		o.RetrySeed = 1
 	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 2 * time.Second
@@ -168,7 +153,7 @@ func NewRouter(m *Manifest, opts RouterOptions) (*Router, error) {
 	r.clock = r.opts.Clock
 	r.nodeHealth = make(map[string]*nodeHealth)
 	r.budget = NewRetryBudget(r.opts.RetryBudgetRatio, r.opts.RetryBudgetBurst)
-	r.rng = rand.New(rand.NewSource(r.opts.RetrySeed))
+	r.rng = rand.New(rand.NewSource(retrySeed))
 	r.man.Store(&manifestState{man: m, byShard: m.byShard()})
 	return r, nil
 }
@@ -306,7 +291,7 @@ func (r *Router) post(ctx context.Context, node Node, path string, body, out any
 func (r *Router) jitter(attempt int) time.Duration {
 	r.rngMu.Lock()
 	defer r.rngMu.Unlock()
-	return backoff(attempt, r.opts.RetryBase, r.opts.RetryMaxDelay, r.rng)
+	return backoff(attempt, retryBase, retryMaxDelay, r.rng)
 }
 
 // do is post behind the resilience controls: the node's breaker gates
@@ -354,7 +339,7 @@ func (r *Router) do(ctx context.Context, node Node, path string, body, out any) 
 		if err == nil || isStatus {
 			return err
 		}
-		if attempt >= r.opts.MaxRetries || !r.budget.TryRetry() {
+		if attempt >= maxRetries || !r.budget.TryRetry() {
 			return err
 		}
 		select {

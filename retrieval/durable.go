@@ -58,7 +58,7 @@ func (ix *Index) AttachWAL(dir string) (replayed int, err error) {
 // torn appends, fsync errors, and disk-full against the live ingest
 // path and then prove no acked write is lost across a reopen.
 func (ix *Index) AttachWALFS(dir string, fsys faultinject.FS) (replayed int, err error) {
-	if ix.sharded == nil {
+	if !ix.live {
 		return 0, fmt.Errorf("%w: only sharded live indexes support a WAL", ErrNotSharded)
 	}
 	if ix.wlog != nil {
@@ -88,7 +88,7 @@ func (ix *Index) replayWAL(log *wal.Log) (replayed int, err error) {
 		if b.First < 0 || len(b.Docs) == 0 {
 			return fmt.Errorf("retrieval: wal replay: malformed batch (first=%d, %d docs)", b.First, len(b.Docs))
 		}
-		have := ix.sharded.NumDocs()
+		have := ix.sx.NumDocs()
 		if b.First > have {
 			return fmt.Errorf("retrieval: wal replay: log starts at document %d but index holds %d — missing an older WAL segment or checkpoint", b.First, have)
 		}
@@ -115,7 +115,7 @@ func (ix *Index) replayWAL(log *wal.Log) (replayed int, err error) {
 func (ix *Index) addDurable(docs []Document) (int, error) {
 	ix.walMu.Lock()
 	defer ix.walMu.Unlock()
-	first := ix.sharded.NumDocs()
+	first := ix.sx.NumDocs()
 	payload, err := json.Marshal(WALBatch{First: first, Docs: docs})
 	if err != nil {
 		return 0, fmt.Errorf("retrieval: add: encoding wal record: %w", err)
@@ -138,7 +138,7 @@ func (ix *Index) addDurable(docs []Document) (int, error) {
 // no acked batch can fall between the snapshot and the rotation. After
 // a checkpoint the WAL holds only writes newer than dir's manifest.
 func (ix *Index) Checkpoint(dir string) error {
-	if ix.sharded == nil {
+	if !ix.live {
 		return fmt.Errorf("%w: use Save for single-stream persistence", ErrNotSharded)
 	}
 	ix.walMu.Lock()
@@ -170,7 +170,7 @@ var ErrWALGone = fmt.Errorf("retrieval: wal no longer covers the requested posit
 // checkpoint rotated the needed records away) and the replica must
 // re-snapshot.
 func (ix *Index) TailWAL(from int) ([]Document, error) {
-	if ix.sharded == nil {
+	if !ix.live {
 		return nil, fmt.Errorf("%w: only sharded live indexes carry a WAL", ErrNotSharded)
 	}
 	if ix.wlog == nil {
@@ -211,7 +211,7 @@ func (ix *Index) TailWAL(from int) ([]Document, error) {
 	if start == -1 {
 		// Empty log: only a caller already at our document count is
 		// covered (everything else predates the last rotation).
-		if from < ix.sharded.NumDocs() {
+		if from < ix.sx.NumDocs() {
 			return nil, ErrWALGone
 		}
 		return nil, nil
@@ -230,20 +230,20 @@ func (ix *Index) TailWAL(from int) ([]Document, error) {
 // compaction timing differs — so replication compares (Generation,
 // NumDocs) instead.
 func (ix *Index) Epoch() uint64 {
-	if ix.sharded == nil {
+	if ix.sx == nil {
 		return 0
 	}
-	return ix.sharded.Epoch()
+	return ix.sx.Epoch()
 }
 
 // Generation returns the manifest generation of the newest durable
 // checkpoint of a sharded live index (see shard.Index.Generation);
 // 0 for immutable indexes and for sharded indexes never saved.
 func (ix *Index) Generation() uint64 {
-	if ix.sharded == nil {
+	if ix.sx == nil {
 		return 0
 	}
-	return ix.sharded.Generation()
+	return ix.sx.Generation()
 }
 
 // SaveShardDir exports one shard of a sharded index as a standalone
@@ -251,10 +251,10 @@ func (ix *Index) Generation() uint64 {
 // ready for a cluster node to Open and serve (see shard.SaveShardDir
 // for the exactness guarantees). SaveShardDirs exports every shard.
 func (ix *Index) SaveShardDir(s int, dir string) error {
-	if ix.sharded == nil {
+	if !ix.live {
 		return fmt.Errorf("%w: only sharded indexes export per-shard", ErrNotSharded)
 	}
-	if err := ix.sharded.SaveShardDir(s, dir); err != nil {
+	if err := ix.sx.SaveShardDir(s, dir); err != nil {
 		return err
 	}
 	return ix.writeTextMeta(dir)
@@ -265,10 +265,10 @@ func (ix *Index) SaveShardDir(s int, dir string) error {
 // index's corpus, and a router fanning over them merges to the same
 // results this index serves (bitwise).
 func (ix *Index) SaveShardDirs(dir string) error {
-	if ix.sharded == nil {
+	if !ix.live {
 		return fmt.Errorf("%w: only sharded indexes export per-shard", ErrNotSharded)
 	}
-	for s := 0; s < ix.sharded.NumShards(); s++ {
+	for s := 0; s < ix.sx.NumShards(); s++ {
 		if err := ix.SaveShardDir(s, shardDirName(dir, s)); err != nil {
 			return err
 		}
@@ -284,8 +284,8 @@ func shardDirName(dir string, s int) string {
 // NumShards returns the shard count of a sharded index (1 for
 // immutable indexes, which are a single partition by construction).
 func (ix *Index) NumShards() int {
-	if ix.sharded == nil {
+	if ix.sx == nil {
 		return 1
 	}
-	return ix.sharded.NumShards()
+	return ix.sx.NumShards()
 }

@@ -154,7 +154,7 @@ func TestCheckpointENOSPCKeepsPreviousGeneration(t *testing.T) {
 	// it so the real save dies at many different points of its write
 	// schedule: during a segment, the ids file, or the manifest.
 	trial := faultinject.NewFaultyFS(faultinject.OS{}, 1)
-	if err := ix.sharded.SaveDirFS(filepath.Join(dir, "trial"), trial); err != nil {
+	if err := ix.sx.SaveDirFS(filepath.Join(dir, "trial"), trial); err != nil {
 		t.Fatal(err)
 	}
 	total := trial.BytesWritten()
@@ -168,7 +168,7 @@ func TestCheckpointENOSPCKeepsPreviousGeneration(t *testing.T) {
 	for budget := int64(0); budget < total; budget += step {
 		fs := faultinject.NewFaultyFS(faultinject.OS{}, budget)
 		fs.DiskFullAfter(budget)
-		if err := ix.sharded.SaveDirFS(data, fs); err == nil {
+		if err := ix.sx.SaveDirFS(data, fs); err == nil {
 			t.Fatalf("budget %d: checkpoint succeeded on a full disk", budget)
 		}
 		re, err := OpenDir(data, WithAutoCompact(false))

@@ -89,14 +89,10 @@ type Options struct {
 	Timeout time.Duration
 	// MaxTopN caps the per-query result count; larger requests are
 	// clamped, not rejected (default 100). Requests with topN <= 0 get
-	// DefaultTopN.
+	// defaultTopN.
 	MaxTopN int
-	// DefaultTopN is used when a request omits topN (default 10).
-	DefaultTopN int
 	// MaxBatch caps the number of queries in one batch call (default 256).
 	MaxBatch int
-	// MaxBodyBytes caps the request body size (default 1 MiB).
-	MaxBodyBytes int64
 
 	// MaxInFlight caps concurrently executing search/docs requests
 	// (0 = unlimited). When the cap is reached, up to MaxQueue further
@@ -134,6 +130,13 @@ type Options struct {
 	EnablePprof bool
 }
 
+// defaultTopN is the result count of a request that omits topN, and
+// maxBodyBytes caps every request body (1 MiB).
+const (
+	defaultTopN  = 10
+	maxBodyBytes = 1 << 20
+)
+
 func (o Options) withDefaults() Options {
 	if o.Timeout <= 0 {
 		o.Timeout = 10 * time.Second
@@ -141,14 +144,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxTopN <= 0 {
 		o.MaxTopN = 100
 	}
-	if o.DefaultTopN <= 0 {
-		o.DefaultTopN = 10
-	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 256
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 1 << 20
 	}
 	if o.MaxInFlight > 0 && o.MaxQueue <= 0 {
 		o.MaxQueue = 4 * o.MaxInFlight
@@ -378,7 +375,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func (h *handler) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, h.opts.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		return false
@@ -394,7 +391,7 @@ func (h *handler) clampTopN(w http.ResponseWriter, topN int) (int, bool) {
 		return 0, false
 	}
 	if topN == 0 {
-		return h.opts.DefaultTopN, true
+		return defaultTopN, true
 	}
 	if topN > h.opts.MaxTopN {
 		return h.opts.MaxTopN, true

@@ -48,17 +48,17 @@ type LiveStats struct {
 // false for unsharded (immutable) indexes, which have no segment
 // lifecycle to observe.
 func (ix *Index) LiveStats() (LiveStats, bool) {
-	if ix.sharded == nil {
+	if !ix.live {
 		return LiveStats{}, false
 	}
 	return LiveStats{
-		Epoch:          ix.sharded.Epoch(),
-		Generation:     ix.sharded.Generation(),
-		DocsIngested:   ix.sharded.DocsIngested(),
-		LastMutation:   ix.sharded.LastMutation(),
-		CompactionDebt: ix.sharded.CompactionDebt(),
-		Compacting:     ix.sharded.Compacting(),
-		Compactions:    ix.sharded.Compactions(),
-		PerShard:       ix.sharded.ShardStats(),
+		Epoch:          ix.sx.Epoch(),
+		Generation:     ix.sx.Generation(),
+		DocsIngested:   ix.sx.DocsIngested(),
+		LastMutation:   ix.sx.LastMutation(),
+		CompactionDebt: ix.sx.CompactionDebt(),
+		Compacting:     ix.sx.Compacting(),
+		Compactions:    ix.sx.Compactions(),
+		PerShard:       ix.sx.ShardStats(),
 	}, true
 }

@@ -151,7 +151,7 @@ type config struct {
 	shards          int   // 0 = unsharded; >= 1 builds the sharded live index
 	sealEvery       int   // 0 = shard package default
 	cacheBytes      int64 // <= 0 = no query result cache
-	autoCompact     *bool
+	autoCompact     bool
 	annList         int // 0 = no ANN tier; >= 1 trains IVF quantizers with this many cells
 	annProbe        int // default probe budget; 0 = exhaustive unless a request overrides
 	quantBeta       int // 0 = no quantized tier; >= 1 builds int8 shadows with this rerank over-fetch
@@ -165,6 +165,7 @@ func defaultConfig() config {
 		weighting:       WeightingLog,
 		removeStopwords: true,
 		stemming:        true,
+		autoCompact:     true,
 	}
 }
 
@@ -225,7 +226,7 @@ func WithSealEvery(n int) Option { return func(c *config) { c.sealEvery = n } }
 // (default on; only meaningful with WithShards). With it off, sealed
 // segments keep serving their fold-in representations until Compact is
 // called explicitly — useful for tests that need a fixed segment layout.
-func WithAutoCompact(on bool) Option { return func(c *config) { c.autoCompact = &on } }
+func WithAutoCompact(on bool) Option { return func(c *config) { c.autoCompact = on } }
 
 // WithANN enables the IVF ANN tier of the LSI backend: a k-means coarse
 // quantizer with nlist cells (clamped to the corpus size) is trained

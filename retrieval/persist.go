@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/lsi"
-	"repro/internal/segment"
 	"repro/internal/sparse"
 	"repro/internal/vsm"
 )
@@ -48,9 +47,6 @@ const wireVersion = lsi.WireVersion
 // Save writes the index to w as a self-contained stream: Load needs
 // nothing else to serve text queries.
 func (ix *Index) Save(w io.Writer) error {
-	if ix.sharded != nil {
-		return fmt.Errorf("retrieval: save: sharded indexes persist to a directory; use SaveDir")
-	}
 	var vocabTerms []string
 	if ix.vocab != nil {
 		vocabTerms = ix.vocab.Terms()
@@ -80,17 +76,21 @@ func (ix *Index) Save(w io.Writer) error {
 		}
 		return nil
 	}
+	lx, ids, ok := ix.sx.Single()
+	if ix.live || !ok {
+		return fmt.Errorf("retrieval: save: sharded indexes persist to a directory; use SaveDir")
+	}
 	var meta *lsi.Meta
 	if ix.vocab != nil {
 		meta = &lsi.Meta{
 			Vocab:           vocabTerms,
 			WeightingName:   ix.weighting.String(),
-			DocIDs:          ix.docIDs,
+			DocIDs:          ids,
 			RemoveStopwords: ix.removeStopwords,
 			Stemming:        ix.stemming,
 		}
 	}
-	return ix.segs[0].Ix.SaveMeta(w, meta)
+	return lx.SaveMeta(w, meta)
 }
 
 // TextConfig supplies the text layer for indexes whose stream predates
@@ -132,6 +132,12 @@ func Load(r io.Reader, opts ...LoadOption) (*Index, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	return load(r, cfg.text, defaultConfig())
+}
+
+// load is Load with the tier options of Open (see setSingle), which an
+// LSI stream's one-shard container trains as it is constructed.
+func load(r io.Reader, tc *TextConfig, cfg config) (*Index, error) {
 	// One streaming decode into the union of every wire layout this
 	// build understands; gob fills the fields whose names the stream
 	// carries and leaves the rest zero. Which backend's fields are live
@@ -188,7 +194,7 @@ func Load(r io.Reader, opts ...LoadOption) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: %w", err)
 	}
-	return loadLSI(lsiIndex, text, cfg.text)
+	return loadLSI(lsiIndex, text, tc, cfg)
 }
 
 // textWire is the text layer as it appears on the wire (in both backend
@@ -206,8 +212,9 @@ func (t textWire) empty() bool {
 	return len(t.Vocab) == 0 && len(t.DocIDs) == 0 && t.WeightingName == ""
 }
 
-func loadLSI(lsiIndex *lsi.Index, stored textWire, text *TextConfig) (*Index, error) {
-	ix := &Index{backend: BackendLSI, segs: []*segment.Segment{identitySegment(lsiIndex)}, weighting: WeightingLog}
+func loadLSI(lsiIndex *lsi.Index, stored textWire, text *TextConfig, cfg config) (*Index, error) {
+	ix := &Index{backend: BackendLSI, weighting: WeightingLog}
+	var ids []string
 	switch {
 	case !stored.empty():
 		if len(stored.Vocab) > 0 && len(stored.Vocab) != lsiIndex.NumTerms() {
@@ -225,7 +232,7 @@ func loadLSI(lsiIndex *lsi.Index, stored textWire, text *TextConfig) (*Index, er
 		ix.weighting = w
 		ix.removeStopwords = stored.RemoveStopwords
 		ix.stemming = stored.Stemming
-		ix.docIDs = stored.DocIDs
+		ids = stored.DocIDs
 		if len(stored.Vocab) > 0 {
 			ix.vocab, err = ir.NewVocabularyFromTerms(stored.Vocab)
 			if err != nil {
@@ -249,10 +256,13 @@ func loadLSI(lsiIndex *lsi.Index, stored textWire, text *TextConfig) (*Index, er
 		ix.weighting = text.Weighting
 		ix.removeStopwords = text.RemoveStopwords
 		ix.stemming = text.Stemming
-		ix.docIDs = text.DocIDs
+		ids = text.DocIDs
 	}
-	if len(ix.docIDs) == 0 {
-		ix.docIDs = defaultIDs(lsiIndex.NumDocs())
+	if len(ids) == 0 {
+		ids = defaultIDs(lsiIndex.NumDocs())
+	}
+	if err := ix.setSingle(lsiIndex, ids, cfg); err != nil {
+		return nil, err
 	}
 	return ix, nil
 }

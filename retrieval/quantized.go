@@ -3,10 +3,10 @@ package retrieval
 import "fmt"
 
 // The quantized scoring tier at the retrieval layer (see WithQuantized).
-// An unsharded LSI index attaches one int8 shadow of its document-vector
-// matrix to its single segment, built at Build (and at Open, when the
-// opening options ask for the tier — quantization is seedless derived
-// state, cheap to rebuild, so single-stream index files stay
+// An unsharded LSI index (one shard of one segment) carries one int8
+// shadow of its document-vector matrix, built at Build (and at Open,
+// when the opening options ask for the tier — quantization is seedless
+// derived state, cheap to rebuild, so single-stream index files stay
 // format-stable). In a sharded index every compacted segment owns a
 // shadow persisted as a quant-*.qnt sidecar next to its seg-*.idx file.
 // Searches run two-stage: the int8 scan selects topN·beta candidates, an

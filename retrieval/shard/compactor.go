@@ -131,7 +131,6 @@ func (x *Index) Compact() (int, error) {
 		comp, err := segment.Compact(pending, x.numTerms, segment.CompactOptions{
 			K:       x.cfg.Rank,
 			Seed:    seed,
-			L:       x.cfg.CompactL,
 			KeepRaw: true,
 		})
 		if err != nil {

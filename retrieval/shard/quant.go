@@ -52,3 +52,8 @@ func (x *Index) SearchSparseOpts(terms []int, weights []float64, topN int, opts 
 	x.tiers.Record(st)
 	return ms, st
 }
+
+// TierStats reports the tier sidecars of the published segments and the
+// lifetime tier counters: Stats().TierStats without the topology and
+// memory walk, for per-scrape metrics.
+func (x *Index) TierStats() segment.TierStats { return x.tiers.Stats(x.snapshot()) }

@@ -24,8 +24,10 @@
 //	  - Search fans out across every segment of every shard on
 //	    internal/par and merges bounded per-chunk top-k under the strict
 //	    (score desc, global doc asc) order, so results are deterministic
-//	    for any shard count, segment layout, and worker count — and a
-//	    1-shard index is bitwise identical to the unsharded path.
+//	    for any shard count, segment layout, and worker count.
+//	  - New wraps one already-built LSI index as a one-shard index of
+//	    one segment: the form of every unsharded LSI index in
+//	    retrieval, whose 1-shard Build is bitwise the same index.
 //
 // Global document numbers are assigned once, at build or ingest, and
 // never change: compaction carries each segment's global mapping through
@@ -66,8 +68,6 @@ type Config struct {
 	// that need a fixed segment layout; Compact can still be called
 	// manually).
 	AutoCompact bool
-	// CompactL overrides the two-step projection dimension (0 = auto).
-	CompactL int
 	// ANNList enables the IVF ANN tier: compacted segments of at least
 	// ANNMinDocs documents carry a coarse quantizer with ANNList cells
 	// (clamped per segment to its document count). 0 disables training;
@@ -222,28 +222,77 @@ func Build(a *sparse.CSR, ids []string, cfg Config) (*Index, error) {
 	for s := 0; s < cfg.Shards; s++ {
 		sub, globals := columnSubset(a, s, cfg.Shards)
 		if len(globals) == 0 {
-			x.shards[s].state.Store(&shardState{})
 			continue
 		}
 		ix, err := lsi.Build(sub, cfg.Rank, lsi.Options{Engine: cfg.Engine, Seed: cfg.Seed + int64(s)})
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		seg, err := segment.New(ix, globals, nil, true)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-		if seg, err = x.trainAnn(seg, s); err != nil {
+		if err := x.install(s, ix, globals); err != nil {
 			return nil, err
 		}
-		if seg, err = x.trainQuant(seg); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-		x.shards[s].base = ix
-		x.shards[s].state.Store(&shardState{stable: []*segment.Segment{seg}})
 	}
 	x.startCompactor()
 	return x, nil
+}
+
+// New wraps an already-built LSI index as a one-shard index: shard 0
+// holds ix as its one compacted segment (row j is global document j)
+// with the configured tiers trained onto it, exactly as Build sets up
+// shard 0 of a 1-shard build. ids[j] is the external identifier of row
+// j; the slice is retained, not copied. cfg.Shards and cfg.Rank are
+// taken from ix.
+func New(ix *lsi.Index, ids []string, cfg Config) (*Index, error) {
+	if len(ids) != ix.NumDocs() {
+		return nil, fmt.Errorf("shard: %d ids for %d documents", len(ids), ix.NumDocs())
+	}
+	cfg.Shards, cfg.Rank = 1, ix.K()
+	x := newIndex(ix.NumTerms(), cfg.withDefaults())
+	x.ids.Store(&idTable{ids: ids})
+	globals := make([]int, len(ids))
+	for j := range globals {
+		globals[j] = j
+	}
+	if err := x.install(0, ix, globals); err != nil {
+		return nil, err
+	}
+	x.startCompactor()
+	return x, nil
+}
+
+// install publishes ix — the decomposition of shard s's documents, whose
+// global numbers are globals — as the shard's one compacted segment and
+// fold-in basis, with the configured tiers trained onto it.
+func (x *Index) install(s int, ix *lsi.Index, globals []int) error {
+	seg, err := segment.New(ix, globals, nil, true)
+	if err != nil {
+		return fmt.Errorf("shard %d: %w", s, err)
+	}
+	if seg, err = x.trainAnn(seg, s); err != nil {
+		return err
+	}
+	if seg, err = x.trainQuant(seg); err != nil {
+		return fmt.Errorf("shard %d: %w", s, err)
+	}
+	x.shards[s].base = ix
+	x.shards[s].state.Store(&shardState{stable: []*segment.Segment{seg}})
+	return nil
+}
+
+// Single returns the LSI index and external IDs of a one-shard index
+// held in one segment — the layout New builds, whose rows are the global
+// documents in order, which is what a single-stream save writes — and ok
+// false for any other layout. The ID slice is shared: callers must not
+// modify it.
+func (x *Index) Single() (ix *lsi.Index, ids []string, ok bool) {
+	if len(x.shards) != 1 {
+		return nil, nil, false
+	}
+	st, ids := x.shards[0].state.Load(), x.ids.Load().ids
+	if st.live != nil || len(st.stable) != 1 || st.stable[0].Len() != len(ids) {
+		return nil, nil, false
+	}
+	return st.stable[0].Ix, ids, true
 }
 
 func newIndex(numTerms int, cfg Config) *Index {
@@ -314,9 +363,8 @@ func (x *Index) Rank() int { return x.cfg.Rank }
 // published mutation (ingest batch or compaction swap) and is stable
 // between them. Reading the epoch, searching, and observing the same
 // epoch afterwards proves the search saw no concurrent mutation — the
-// validity protocol of retrieval's query cache. Immutable (unsharded)
-// indexes have no counterpart; the retrieval layer uses a constant 0
-// for them.
+// validity protocol of retrieval's query cache. An index nothing is
+// ingested into (retrieval's unsharded indexes) stays at 0.
 func (x *Index) Epoch() uint64 { return x.globalEpoch.Load() }
 
 // Generation returns the manifest generation of the newest durable
@@ -337,7 +385,15 @@ func (x *Index) ExternalID(g int) string {
 }
 
 // snapshot collects every segment currently published, shard by shard.
+// A one-shard index without a live segment hands out its published
+// stable list as is (states are immutable), so its searches allocate no
+// segment slice.
 func (x *Index) snapshot() []*segment.Segment {
+	if len(x.shards) == 1 {
+		if st := x.shards[0].state.Load(); st.live == nil {
+			return st.stable
+		}
+	}
 	var segs []*segment.Segment
 	for _, sh := range x.shards {
 		segs = sh.state.Load().segments(segs)
@@ -422,7 +478,7 @@ func (x *Index) Stats() Stats {
 			}
 			k := int64(seg.Ix.K())
 			m := int64(seg.Ix.NumDocs())
-			st.MemoryBytes += 8*(m*k+k+m) + 16*int64(seg.Raw.NNZ())
+			st.MemoryBytes += 8*(m*k+k+2*m) + 16*int64(seg.Raw.NNZ()) // doc rows + sigma + norms + Global + raw
 			if b := seg.Ix.Basis(); !seenBasis[b] {
 				seenBasis[b] = true
 				st.MemoryBytes += 8 * int64(seg.Ix.NumTerms()) * k

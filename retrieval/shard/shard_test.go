@@ -10,6 +10,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/lsi"
 	"repro/internal/par"
+	"repro/internal/segment"
 	"repro/internal/sparse"
 	"repro/internal/topk"
 )
@@ -79,6 +80,59 @@ func TestOneShardMatchesUnshardedBitwise(t *testing.T) {
 			sameMatches(t, x.SearchSparse(terms, weights, topN), plain.SearchSparse(terms, weights, topN), "sparse")
 			sameMatches(t, x.SearchVec(a.Col(j), topN), plain.Search(a.Col(j), topN), "dense")
 		}
+	}
+}
+
+// TestNewMatchesOneShardBuild: wrapping an already-built decomposition
+// with New yields the index a 1-shard Build produces — same tiers, same
+// rankings, same stats — retaining the caller's ID slice, and Single
+// hands both back until ingest changes the layout.
+func TestNewMatchesOneShardBuild(t *testing.T) {
+	a := testMatrix(t, 3, 12, 48, 301)
+	cfg := Config{Rank: 4, Engine: lsi.EngineRandomized, Seed: 9, ANNList: 6, ANNMinDocs: 1, Quantize: true, QuantMinDocs: 1}
+	lx, err := lsi.Build(a, 4, lsi.Options{Engine: lsi.EngineRandomized, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := defaultIDs(48)
+	x, err := New(lx, ids, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	cfg.Shards = 1
+	built, err := Build(a, defaultIDs(48), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer built.Close()
+	if got, want := x.Stats(), built.Stats(); got != want {
+		t.Fatalf("stats differ:\n New   %+v\n Build %+v", got, want)
+	}
+	if ts := x.Stats().TierStats; ts.ANNSegments != 1 || ts.QuantSegments != 1 {
+		t.Fatalf("tiers not trained on the one segment: %+v", ts)
+	}
+	for _, opts := range []segment.ProbeOptions{{}, {NProbe: 2, Beta: 2}} {
+		for j := 0; j < 8; j++ {
+			terms, weights := sparseCol(a, j)
+			got, _ := x.SearchSparseOpts(terms, weights, 7, opts)
+			want, _ := built.SearchSparseOpts(terms, weights, 7, opts)
+			sameMatches(t, got, want, fmt.Sprintf("opts %+v", opts))
+		}
+	}
+	six, sids, ok := x.Single()
+	if !ok || six != lx || &sids[0] != &ids[0] {
+		t.Fatalf("Single() = %p, ok %v, want the wrapped index and the retained ID slice", six, ok)
+	}
+	if _, err := New(lx, ids[:47], cfg); err == nil {
+		t.Fatal("New accepted 47 ids for 48 documents")
+	}
+	terms, weights := sparseCol(a, 0)
+	if _, err := x.Add(Doc{Terms: terms, Weights: weights}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := x.Single(); ok {
+		t.Fatal("Single() ok after ingest added a live segment")
 	}
 }
 

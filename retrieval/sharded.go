@@ -9,16 +9,17 @@ import (
 	"path/filepath"
 
 	"repro/internal/ir"
+	"repro/internal/lsi"
 	"repro/internal/sparse"
 	"repro/retrieval/shard"
 )
 
-// Sharded mode: WithShards(n) swaps the single immutable backend for
-// retrieval/shard's sharded live index. The Index keeps owning the text
-// layer — vocabulary, weighting, pipeline flags — while the shard
-// subsystem owns the numeric segments and the global document directory,
-// so the same Retriever methods (and the same query preprocessing) serve
-// both modes.
+// Sharded mode: every LSI index is a retrieval/shard index — unsharded,
+// one immutable shard of one segment; with WithShards(n), a live index
+// of n shards. The Index keeps owning the text layer — vocabulary,
+// weighting, pipeline flags — while the shard subsystem owns the numeric
+// segments and the global document directory, so the same Retriever
+// methods (and the same query preprocessing) serve both modes.
 //
 // Sharded indexes add three capabilities on top of the Retriever
 // contract: live appends (Add), readiness reporting (Ready), and
@@ -41,44 +42,28 @@ var (
 // buildSharded finishes a Build configured with WithShards: the text
 // layer is already assembled; partition the matrix and build the shard
 // subsystem.
-func buildSharded(ix *Index, a *sparse.CSR, ids []string, numTerms, numDocs int, cfg config) (*Index, error) {
-	if cfg.backend != BackendLSI {
-		return nil, fmt.Errorf("retrieval: WithShards requires the LSI backend (got %s)", cfg.backend)
-	}
-	engine, err := cfg.engine.toLSI()
-	if err != nil {
-		return nil, err
-	}
-	rank := cfg.rank
-	if rank <= 0 {
-		rank = autoRank(numTerms, numDocs)
-	}
-	autoCompact := true
-	if cfg.autoCompact != nil {
-		autoCompact = *cfg.autoCompact
-	}
+func (ix *Index) buildSharded(a *sparse.CSR, ids []string, rank int, engine lsi.Engine, cfg config) error {
 	sx, err := shard.Build(a, ids, shard.Config{
 		Shards:      cfg.shards,
 		Rank:        rank,
 		Engine:      engine,
 		Seed:        cfg.seed,
 		SealEvery:   cfg.sealEvery,
-		AutoCompact: autoCompact,
+		AutoCompact: cfg.autoCompact,
 		ANNList:     cfg.annList,
 		ANNProbe:    cfg.annProbe,
 		Quantize:    cfg.quantBeta > 0,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("retrieval: building sharded index: %w", err)
+		return fmt.Errorf("retrieval: building sharded index: %w", err)
 	}
-	ix.sharded = sx
+	ix.sx, ix.live = sx, true
 	ix.annList, ix.annProbe, ix.quantBeta = cfg.annList, cfg.annProbe, cfg.quantBeta
-	ix.docIDs = nil // the shard directory owns external IDs in sharded mode
-	return ix, nil
+	return nil
 }
 
 // Sharded reports whether the index is a sharded live index.
-func (ix *Index) Sharded() bool { return ix.sharded != nil }
+func (ix *Index) Sharded() bool { return ix.live }
 
 // Ready reports whether the index owes no background work: always true
 // for unsharded indexes; for sharded indexes, false while sealed
@@ -86,31 +71,27 @@ func (ix *Index) Sharded() bool { return ix.sharded != nil }
 // not-ready index serves correct (fold-in) results — Ready is the
 // readiness signal for load balancers, surfaced at /readyz.
 func (ix *Index) Ready() bool {
-	if ix.sharded == nil {
-		return true
-	}
-	return ix.sharded.Ready()
+	return ix.sx == nil || ix.sx.Ready()
 }
 
 // Compact runs one synchronous compaction pass on a sharded index,
 // returning the number of segments rebuilt. Unsharded indexes have
 // nothing to compact and return 0.
 func (ix *Index) Compact() (int, error) {
-	if ix.sharded == nil {
+	if !ix.live {
 		return 0, nil
 	}
-	return ix.sharded.Compact()
+	return ix.sx.Compact()
 }
 
 // Close releases background resources (the sharded compactor and the
-// attached WAL, if any). It is a no-op for unsharded indexes and is
-// idempotent; searches against an already-published index keep working
-// after Close, but Add fails.
+// attached WAL, if any). It is idempotent; searches against an
+// already-published index keep working after Close, but Add fails.
 func (ix *Index) Close() error {
-	if ix.sharded == nil {
+	if ix.sx == nil {
 		return nil
 	}
-	err := ix.sharded.Close()
+	err := ix.sx.Close()
 	if ix.wlog != nil {
 		if werr := ix.wlog.Close(); err == nil {
 			err = werr
@@ -153,7 +134,7 @@ func (ix *Index) Add(ctx context.Context, docs []Document) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	if ix.sharded == nil {
+	if !ix.live {
 		return 0, ErrImmutableIndex
 	}
 	if ix.vocab == nil {
@@ -176,7 +157,7 @@ func (ix *Index) applyBatch(docs []Document) (int, error) {
 		terms, weights := ix.docSparse(d.Text)
 		batch[i] = shard.Doc{ID: d.ID, Terms: terms, Weights: weights}
 	}
-	first, err := ix.sharded.AddBatch(batch)
+	first, err := ix.sx.AddBatch(batch)
 	if err != nil {
 		if errors.Is(err, shard.ErrClosed) {
 			return 0, ErrIndexClosed
@@ -203,10 +184,10 @@ const textMetaName = "text.json"
 // segment files (see retrieval/shard) plus the text layer. Unsharded
 // indexes persist to a single stream via Save instead.
 func (ix *Index) SaveDir(dir string) error {
-	if ix.sharded == nil {
+	if !ix.live {
 		return fmt.Errorf("%w: use Save for single-stream persistence", ErrNotSharded)
 	}
-	if err := ix.sharded.SaveDir(dir); err != nil {
+	if err := ix.sx.SaveDir(dir); err != nil {
 		return err
 	}
 	return ix.writeTextMeta(dir)
@@ -267,13 +248,9 @@ func OpenDir(dir string, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: open: %w", err)
 	}
-	autoCompact := true
-	if cfg.autoCompact != nil {
-		autoCompact = *cfg.autoCompact
-	}
 	sx, err := shard.Open(dir, shard.Config{
 		SealEvery:   cfg.sealEvery,
-		AutoCompact: autoCompact,
+		AutoCompact: cfg.autoCompact,
 		ANNList:     cfg.annList,
 		ANNProbe:    cfg.annProbe,
 		Quantize:    cfg.quantBeta > 0,
@@ -292,7 +269,8 @@ func OpenDir(dir string, opts ...Option) (*Index, error) {
 	}
 	ix := &Index{
 		backend:         BackendLSI,
-		sharded:         sx,
+		sx:              sx,
+		live:            true,
 		vocab:           vocab,
 		weighting:       weighting,
 		removeStopwords: meta.RemoveStopwords,
@@ -330,15 +308,12 @@ func Open(path string, opts ...Option) (*Index, error) {
 		return nil, fmt.Errorf("retrieval: open: %w", err)
 	}
 	defer f.Close()
-	ix, err := Load(f)
+	ix, err := load(f, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
 	switch {
 	case ix.backend == BackendLSI:
-		if err := ix.attachTiers(cfg); err != nil {
-			return nil, err
-		}
 	case cfg.annList > 0:
 		return nil, fmt.Errorf("retrieval: open: WithANN requires the LSI backend (got %s)", ix.backend)
 	case cfg.quantBeta > 0:

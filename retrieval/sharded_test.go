@@ -201,6 +201,82 @@ func TestUnshardedStatsMemoryAndVocab(t *testing.T) {
 	}
 }
 
+// TestUnshardedIndexContract pins what an unsharded LSI index is, built
+// or opened: immutable (Add, SaveDir and the WAL refuse it), never
+// Sharded, no topology in Stats, and both tiers trained onto its one
+// segment at any corpus size, reporting the post-clamp cell count.
+func TestUnshardedIndexContract(t *testing.T) {
+	ctx := context.Background()
+	docs := DemoCorpus()
+	tiers := []Option{WithANN(64, 4), WithQuantized(2)}
+	built, err := Build(docs, append([]Option{WithRank(3), WithEngine(EngineDense)}, tiers...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer built.Close()
+	path := filepath.Join(t.TempDir(), "demo.idx")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := Open(path, tiers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	for name, ix := range map[string]*Index{"built": built, "opened": opened} {
+		st := ix.Stats()
+		topology := Stats{Backend: st.Backend, NumDocs: st.NumDocs, NumTerms: st.NumTerms, Rank: st.Rank,
+			Weighting: st.Weighting, TextQueries: st.TextQueries, VocabSize: st.VocabSize,
+			MemoryBytes: st.MemoryBytes, Ready: true, Cache: st.Cache, ANN: st.ANN, Quant: st.Quant}
+		if ix.Sharded() || st != topology {
+			t.Fatalf("%s: Sharded() %v, stats carry live-index fields: %+v", name, ix.Sharded(), st)
+		}
+		if a := st.ANN; a == nil || a.NList != len(docs) || a.NProbe != 4 || a.Segments != 1 || a.Docs != len(docs) {
+			t.Fatalf("%s: ANN stats %+v, want nlist clamped to %d on one segment", name, a, len(docs))
+		}
+		if q := st.Quant; q == nil || q.Beta != 2 || q.Segments != 1 || q.Docs != len(docs) {
+			t.Fatalf("%s: quant stats %+v, want one int8 segment over %d docs", name, q, len(docs))
+		}
+		if _, err := ix.Add(ctx, []Document{{Text: "car engine"}}); !errors.Is(err, ErrImmutableIndex) {
+			t.Fatalf("%s: Add = %v, want ErrImmutableIndex", name, err)
+		}
+		if err := ix.SaveDir(t.TempDir()); !errors.Is(err, ErrNotSharded) {
+			t.Fatalf("%s: SaveDir = %v, want ErrNotSharded", name, err)
+		}
+		if _, err := ix.AttachWAL(t.TempDir()); !errors.Is(err, ErrNotSharded) {
+			t.Fatalf("%s: AttachWAL = %v, want ErrNotSharded", name, err)
+		}
+		if _, ok := ix.LiveStats(); ok {
+			t.Fatalf("%s: LiveStats reported for an immutable index", name)
+		}
+	}
+}
+
+// TestOneShardMemoryMatchesUnsharded: a 1-shard live index holds what
+// the unsharded index holds, so the two memory estimates agree.
+func TestOneShardMemoryMatchesUnsharded(t *testing.T) {
+	opts := []Option{WithRank(3), WithEngine(EngineDense)}
+	plain, err := Build(DemoCorpus(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := Build(DemoCorpus(), append(opts, WithShards(1), WithAutoCompact(false))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	if got, want := one.Stats().MemoryBytes, plain.Stats().MemoryBytes; got != want {
+		t.Fatalf("WithShards(1) estimates %d bytes, unsharded %d", got, want)
+	}
+}
+
 func TestShardedSaveDirOpenRoundTrip(t *testing.T) {
 	docs := largerCorpus(26)
 	ix, err := Build(docs, WithRank(3), WithShards(3), WithAutoCompact(false), WithSealEvery(4))

@@ -22,7 +22,8 @@
 #   -t <frac>   ns/op regression threshold as a fraction (default 0.20)
 #   -o <file>   write the comparison report here (default bench-gate.txt)
 #   -B <regex>  -bench regex for run mode (default: the tier-1 subset
-#               BenchmarkQueryLatency*/BenchmarkSearch*)
+#               BenchmarkQueryLatency*/BenchmarkSearch*/BenchmarkQuantizedScan*/
+#               BenchmarkShardedSearch*)
 #   -c <n>      -count per side in run mode (default 5; medians damp noise)
 #   -T <dur>    -benchtime per run (default 0.3s)
 #
@@ -39,14 +40,15 @@ BASEFILE=""
 HEADFILE=""
 THRESH="0.20"
 OUT="bench-gate.txt"
-BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkQuantizedScan'
+BENCH='BenchmarkQueryLatency|BenchmarkSearch|BenchmarkQuantizedScan|BenchmarkShardedSearch'
 COUNT=5
 TIME="0.3s"
 # The packages holding the gated benchmarks: the root suite (query
 # latency + batch), the backend hot paths, the int8 scan kernels, the
-# segment scan every LSI query runs through, and the HTTP search
-# handler (BenchmarkSearchHandler: decode, search, encode).
-PKGS=". ./internal/vsm ./internal/lsi ./internal/quant ./internal/segment ./retrieval/httpapi"
+# segment scan and the shard container every LSI query runs through
+# (BenchmarkShardedSearch), and the HTTP search handler
+# (BenchmarkSearchHandler: decode, search, encode).
+PKGS=". ./internal/vsm ./internal/lsi ./internal/quant ./internal/segment ./retrieval/shard ./retrieval/httpapi"
 
 while getopts "r:a:b:t:o:B:c:T:" opt; do
 	case $opt in
